@@ -25,6 +25,7 @@ import (
 	"sgxbench/internal/exec"
 	"sgxbench/internal/join"
 	"sgxbench/internal/obs"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/query"
 	"sgxbench/internal/rel"
@@ -183,8 +184,8 @@ func main() {
 		}
 		nDim := 1 << 13
 		nFact := rel.RowsForMB(400) / int(*scale)
-		ds := query.GenDataset(env, nDim, nFact, 1234)
-		opt := query.Options{Threads: *threads, Pred: scan.Predicate{Lo: 16, Hi: 127}}
+		ds := plan.GenDataset(env, nDim, nFact, 1234)
+		opt := plan.Options{Threads: *threads, Pred: scan.Predicate{Lo: 16, Hi: 127}}
 		var prof *obs.Profiler
 		if *profilePath != "" {
 			prof = obs.NewProfiler("run")

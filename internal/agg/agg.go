@@ -171,25 +171,6 @@ func log2(n int) uint {
 	return uint(bits.Len(uint(n)) - 1)
 }
 
-// chunk splits n items over workers; returns [lo, hi) for worker id.
-func chunk(n, workers, id int) (int, int) {
-	per := n / workers
-	rem := n % workers
-	lo := id*per + min(id, rem)
-	hi := lo + per
-	if id < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // forSegments calls f for every segment sub-range covered by the global
 // row range [lo, hi) of the concatenated inputs.
 func forSegments(ins []Input, lo, hi int, f func(seg Input, sLo, sHi int)) {
@@ -240,11 +221,11 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 
 	parts := opt.Parts
 	if parts == nil {
-		parts = env.Space.AllocU64("agg.parts", maxInt(n, 1), reg)
+		parts = env.Space.AllocU64("agg.parts", max(n, 1), reg)
 	}
 	out := opt.Out
 	if out == nil {
-		out = env.Space.AllocU64("agg.out", EntryWords*maxInt(n, 1), reg)
+		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
 	hist := env.Space.AllocU32("agg.hist", T*P, reg)
 	cur := env.Space.AllocU32("agg.cur", T*P, reg)
@@ -252,7 +233,7 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 
 	// --- Phase 1: per-thread partition histograms ---
 	g.Phase("Agg.Hist", func(t *engine.Thread, id int) {
-		lo, hi := chunk(n, T, id)
+		lo, hi := exec.Chunk(n, T, id)
 		forSegments(ins, lo, hi, func(seg Input, sLo, sHi int) {
 			histSeg(t, seg.Tup, sLo, sHi, hist, id*P, opt.Sel, 0, pBits)
 		})
@@ -285,7 +266,7 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 			}
 			base = cum
 		}
-		lo, hi := chunk(n, T, id)
+		lo, hi := exec.Chunk(n, T, id)
 		forSegments(ins, lo, hi, func(seg Input, sLo, sHi int) {
 			scatterSeg(t, seg.Tup, sLo, sHi, parts, cur, id*P, opt.Sel, 0, pBits)
 		})
@@ -320,13 +301,6 @@ func RunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result {
 	res.Check = checksum(out, res.PartStart, res.PartGroups)
 	res.Phases, res.Stats, res.WallCycles = g.Since(mark)
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FNVOffset64 is the FNV-1a 64-bit offset basis — the seed of the

@@ -110,8 +110,8 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	}
 	stageReg := env.SpillRegion()
 	bufs := [2]*mem.U64Buf{
-		env.Space.AllocU64("agg.sp0", maxInt(n, 1), stageReg),
-		env.Space.AllocU64("agg.sp1", maxInt(n, 1), stageReg),
+		env.Space.AllocU64("agg.sp0", max(n, 1), stageReg),
+		env.Space.AllocU64("agg.sp1", max(n, 1), stageReg),
 	}
 
 	srcIns := ins
@@ -122,7 +122,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	if env.EPCPages > 0 && env.DataRegion().Kind == mem.EPC {
 		stage := bufs[1]
 		g.Phase("Agg.Drain", func(t *engine.Thread, id int) {
-			lo, hi := chunk(n, T, id)
+			lo, hi := exec.Chunk(n, T, id)
 			base := 0
 			for _, in := range ins {
 				sLo, sHi := lo-base, hi-base
@@ -159,7 +159,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 			hist := env.Space.AllocU32(fmt.Sprintf("agg.h%d", pass+1), T*fan, stageReg)
 			cur := env.Space.AllocU32(fmt.Sprintf("agg.c%d", pass+1), T*fan, stageReg)
 			g.Phase(fmt.Sprintf("Agg.Hist%d", pass+1), func(t *engine.Thread, id int) {
-				lo, hi := chunk(n, T, id)
+				lo, hi := exec.Chunk(n, T, id)
 				forSegments(srcIns, lo, hi, func(seg Input, sLo, sHi int) {
 					histSeg(t, seg.Tup, sLo, sHi, hist, id*fan, opt.Sel, shift, bk)
 				})
@@ -191,7 +191,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 				if id == 0 {
 					next[fan] = base
 				}
-				lo, hi := chunk(n, T, id)
+				lo, hi := exec.Chunk(n, T, id)
 				forSegments(srcIns, lo, hi, func(seg Input, sLo, sHi int) {
 					scatterSeg(t, seg.Tup, sLo, sHi, dst, cur, id*fan, opt.Sel, shift, bk)
 				})
@@ -237,7 +237,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 	reg := env.DataRegion()
 	out := opt.Out
 	if out == nil {
-		out = env.Space.AllocU64("agg.out", EntryWords*maxInt(n, 1), reg)
+		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
 	res := &Result{Rows: n, Out: out, PartStart: start, PartGroups: make([]int, P)}
 	maxPart := 0
@@ -287,10 +287,10 @@ func DirectRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result
 	reg := env.DataRegion()
 	out := opt.Out
 	if out == nil {
-		out = env.Space.AllocU64("agg.out", EntryWords*maxInt(n, 1), reg)
+		out = env.Space.AllocU64("agg.out", EntryWords*max(n, 1), reg)
 	}
-	w := newWorker(env, maxInt(n, 1))
-	nb := nextPow2(maxInt(n, 1))
+	w := newWorker(env, max(n, 1))
+	nb := nextPow2(max(n, 1))
 	if nb < 16 {
 		nb = 16
 	}

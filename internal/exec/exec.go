@@ -169,6 +169,19 @@ func (g *Group) Phase(name string, body func(t *engine.Thread, id int)) PhaseSta
 	return ps
 }
 
+// Chunk splits n items over workers; returns [lo, hi) for worker id.
+// The first n%workers workers take one extra item.
+func Chunk(n, workers, id int) (int, int) {
+	per := n / workers
+	rem := n % workers
+	lo := id*per + min(id, rem)
+	hi := lo + per
+	if id < rem {
+		hi++
+	}
+	return lo, hi
+}
+
 // Phases returns the recorded per-phase statistics in execution order.
 func (g *Group) Phases() []PhaseStats { return g.phases }
 

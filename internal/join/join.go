@@ -155,22 +155,3 @@ func nextPow2(n int) int {
 	}
 	return 1 << bits.Len(uint(n-1))
 }
-
-// chunk splits n items over workers; returns [lo, hi) for worker id.
-func chunk(n, workers, id int) (int, int) {
-	per := n / workers
-	rem := n % workers
-	lo := id*per + min(id, rem)
-	hi := lo + per
-	if id < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

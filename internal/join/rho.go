@@ -145,7 +145,7 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	// --- Pass 1: histograms over both inputs ---
 	g.Phase("Hist1", func(t *engine.Thread, id int) {
 		for _, st := range []*rhoState{R, S} {
-			lo, hi := chunk(st.in.Len(), T, id)
+			lo, hi := exec.Chunk(st.in.Len(), T, id)
 			kernels.Histogram(t, st.in, lo, hi, st.h1, id*p1, histCfg(id, 0, b1))
 		}
 	})
@@ -176,7 +176,7 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 				}
 				base = cum
 			}
-			lo, hi := chunk(st.in.Len(), T, id)
+			lo, hi := exec.Chunk(st.in.Len(), T, id)
 			kernels.Scatter(t, st.in, lo, hi, st.tmp, st.cur1, id*p1, scatCfg(id, 0, b1))
 		}
 	})

@@ -193,7 +193,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 		for _, st := range []*graceState{R, S} {
 			src, dst := st.in, st.bufs[1]
 			g.Phase("Spill.Drain", func(t *engine.Thread, id int) {
-				lo, hi := chunk(src.Len(), T, id)
+				lo, hi := exec.Chunk(src.Len(), T, id)
 				if hi <= lo {
 					return
 				}
@@ -222,7 +222,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 				cur := env.Space.AllocU32(name+fmt.Sprintf(".c%d", pass+1), T*fan, env.SpillRegion())
 				src := st.src()
 				g.Phase(fmt.Sprintf("Spill.Hist%d", pass+1), func(t *engine.Thread, id int) {
-					lo, hi := chunk(src.Len(), T, id)
+					lo, hi := exec.Chunk(src.Len(), T, id)
 					kernels.Histogram(t, src, lo, hi, h, id*fan, histCfg(id, shift, bk))
 				})
 				start := make([]int, fan+1)
@@ -252,7 +252,7 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 					if id == 0 {
 						start[fan] = base
 					}
-					lo, hi := chunk(src.Len(), T, id)
+					lo, hi := exec.Chunk(src.Len(), T, id)
 					kernels.Scatter(t, src, lo, hi, dst, cur, id*fan, scatCfg(id, shift, bk))
 				})
 				st.start = start

@@ -141,28 +141,14 @@ func (p *Platform) Scaled(f int64) *Platform {
 	}
 	q := *p
 	q.Scale = p.Scale * f
-	q.L1D.SizeBytes = maxI64(p.L1D.SizeBytes/f, minI64(p.L1D.SizeBytes, 8<<10))
-	q.L2.SizeBytes = maxI64(p.L2.SizeBytes/f, 2*q.L1D.SizeBytes)
-	q.L3.SizeBytes = maxI64(p.L3.SizeBytes/f, 2*q.L2.SizeBytes)
-	q.DTLB.Entries = maxInt(p.DTLB.Entries/int(f), minInt(p.DTLB.Entries, 16))
-	q.STLB.Entries = maxInt(p.STLB.Entries/int(f), 2*q.DTLB.Entries)
-	q.DRAMPerSocket = maxI64(p.DRAMPerSocket/f, 1<<20)
-	q.EPCPerSocket = maxI64(p.EPCPerSocket/f, 1<<20)
+	q.L1D.SizeBytes = max(p.L1D.SizeBytes/f, min(p.L1D.SizeBytes, 8<<10))
+	q.L2.SizeBytes = max(p.L2.SizeBytes/f, 2*q.L1D.SizeBytes)
+	q.L3.SizeBytes = max(p.L3.SizeBytes/f, 2*q.L2.SizeBytes)
+	q.DTLB.Entries = max(p.DTLB.Entries/int(f), min(p.DTLB.Entries, 16))
+	q.STLB.Entries = max(p.STLB.Entries/int(f), 2*q.DTLB.Entries)
+	q.DRAMPerSocket = max(p.DRAMPerSocket/f, 1<<20)
+	q.EPCPerSocket = max(p.EPCPerSocket/f, 1<<20)
 	return &q
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ScaleBytes converts a full-size experiment byte count to the platform's
@@ -212,18 +198,4 @@ func (p *Platform) Validate() error {
 		}
 	}
 	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

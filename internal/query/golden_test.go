@@ -7,6 +7,7 @@ import (
 	"sgxbench/internal/agg"
 	"sgxbench/internal/core"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/scan"
 	sortop "sgxbench/internal/sort"
@@ -28,15 +29,15 @@ func pipelineThreads(name string) int {
 	return 2
 }
 
-func goldenRun(t *testing.T, p Pipeline, setting core.Setting, ref bool) *Result {
+func goldenRun(t *testing.T, p Pipeline, setting core.Setting, ref bool) *plan.Result {
 	t.Helper()
 	env := core.NewEnv(core.Options{
 		Plat:      platform.XeonGold6326().Scaled(256),
 		Setting:   setting,
 		Reference: ref,
 	})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred})
+	ds := plan.GenDataset(env, testDim, testFact, 1234)
+	return p.Run(env, ds, plan.Options{Threads: pipelineThreads(p.Name), Pred: testPred})
 }
 
 // TestGoldenPipelineEquivalence enforces the fast-path invariant on the
@@ -78,10 +79,10 @@ func TestGoldenPipelineEquivalence(t *testing.T) {
 func TestPipelineRepeatDeterminism(t *testing.T) {
 	for _, p := range All() {
 		T := pipelineThreads(p.Name)
-		prep := func() (*core.Env, *Dataset, Options) {
+		prep := func() (*core.Env, *plan.Dataset, plan.Options) {
 			env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.SGXDiE})
-			ds := GenDataset(env, testDim, testFact, 1234)
-			return env, ds, Options{Threads: T, Pred: testPred, Scratch: NewScratch(env, ds, T, testFact)}
+			ds := plan.GenDataset(env, testDim, testFact, 1234)
+			return env, ds, plan.Options{Threads: T, Pred: testPred, Scratch: plan.NewScratch(env, ds, T, testFact)}
 		}
 		envA, dsA, optA := prep()
 		envB, dsB, optB := prep()
@@ -97,7 +98,7 @@ func TestPipelineRepeatDeterminism(t *testing.T) {
 }
 
 // oracleQ1 computes q1's expected aggregates directly from the dataset.
-func oracleQ1(ds *Dataset, pred scan.Predicate) map[uint32]agg.GroupAgg {
+func oracleQ1(ds *plan.Dataset, pred scan.Predicate) map[uint32]agg.GroupAgg {
 	m := make(map[uint32]agg.GroupAgg)
 	addTo(m, ds, pred, func(i int) (uint32, uint32) {
 		return ds.Fact.Key(i), ds.Fact.Payload(i)
@@ -108,7 +109,7 @@ func oracleQ1(ds *Dataset, pred scan.Predicate) map[uint32]agg.GroupAgg {
 // oracleJoinAgg computes q2/q3's expected aggregates: fact rows
 // (filtered for q2, all for q3) joined to the dimension on key, grouped
 // by the dimension payload, aggregating the fact payload.
-func oracleJoinAgg(ds *Dataset, pred scan.Predicate, filtered bool) map[uint32]agg.GroupAgg {
+func oracleJoinAgg(ds *plan.Dataset, pred scan.Predicate, filtered bool) map[uint32]agg.GroupAgg {
 	dim := make(map[uint32]uint32, ds.Dim.N())
 	for i := 0; i < ds.Dim.N(); i++ {
 		dim[ds.Dim.Key(i)] = ds.Dim.Payload(i)
@@ -126,7 +127,7 @@ func oracleJoinAgg(ds *Dataset, pred scan.Predicate, filtered bool) map[uint32]a
 
 // oracleQ4 computes q4's expected top-k rows: the filtered fact tuples
 // in ascending (key, tuple) order, truncated to k.
-func oracleQ4(ds *Dataset, pred scan.Predicate, k int) []uint64 {
+func oracleQ4(ds *plan.Dataset, pred scan.Predicate, k int) []uint64 {
 	var rows []uint64
 	for i := 0; i < ds.Fact.N(); i++ {
 		if ds.Filter.D[i] >= pred.Lo && ds.Filter.D[i] <= pred.Hi {
@@ -140,7 +141,7 @@ func oracleQ4(ds *Dataset, pred scan.Predicate, k int) []uint64 {
 	return rows[:k]
 }
 
-func addTo(m map[uint32]agg.GroupAgg, ds *Dataset, pred scan.Predicate, kv func(i int) (uint32, uint32)) {
+func addTo(m map[uint32]agg.GroupAgg, ds *plan.Dataset, pred scan.Predicate, kv func(i int) (uint32, uint32)) {
 	for i := 0; i < ds.Fact.N(); i++ {
 		if ds.Filter.D[i] < pred.Lo || ds.Filter.D[i] > pred.Hi {
 			continue
@@ -167,9 +168,9 @@ func addTo(m map[uint32]agg.GroupAgg, ds *Dataset, pred scan.Predicate, kv func(
 // pure-Go oracles computed straight from the dataset.
 func TestPipelineCorrectness(t *testing.T) {
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds := GenDataset(env, testDim, testFact, 1234)
+	ds := plan.GenDataset(env, testDim, testFact, 1234)
 	for _, p := range All() {
-		res := p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred})
+		res := p.Run(env, ds, plan.Options{Threads: pipelineThreads(p.Name), Pred: testPred})
 		var want map[uint32]agg.GroupAgg
 		switch p.Name {
 		case Q1Name:
@@ -182,7 +183,7 @@ func TestPipelineCorrectness(t *testing.T) {
 			// through the spill-partitioned pair.
 			want = oracleJoinAgg(ds, testPred, false)
 		case Q4Name:
-			wantRows := oracleQ4(ds, testPred, DefaultLimit)
+			wantRows := oracleQ4(ds, testPred, plan.DefaultLimit)
 			if res.Groups != len(wantRows) || len(res.TopRows) != len(wantRows) {
 				t.Errorf("%s: emitted %d/%d rows, oracle %d", p.Name, res.Groups, len(res.TopRows), len(wantRows))
 				continue
@@ -205,8 +206,8 @@ func TestPipelineCorrectness(t *testing.T) {
 // stage cardinality without breaking the run.
 func TestMaxRowsCap(t *testing.T) {
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	res := Q1FilterAgg(env, ds, Options{Threads: 2, Pred: testPred, MaxRows: 1000})
+	ds := plan.GenDataset(env, testDim, testFact, 1234)
+	res := Q1FilterAgg(env, ds, plan.Options{Threads: 2, Pred: testPred, MaxRows: 1000})
 	if res.Rows != 1000 {
 		t.Fatalf("rows=%d want 1000 (capped)", res.Rows)
 	}

@@ -4,21 +4,22 @@ import (
 	"testing"
 
 	"sgxbench/internal/core"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
 )
 
 // TestQ4LimitBeyondScratch is the regression test for the top-k scratch
 // sizing bug: Options.Limit larger than the pre-allocated per-thread
-// heap capacity (sized for DefaultLimit) used to overrun the scratch
+// heap capacity (sized for plan.DefaultLimit) used to overrun the scratch
 // heaps. The plan layer now grows the top-k scratch to the requested k;
 // the emitted rows must match the oracle exactly.
 func TestQ4LimitBeyondScratch(t *testing.T) {
-	const k = 4 * DefaultLimit
+	const k = 4 * plan.DefaultLimit
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds := GenDataset(env, testDim, testFact, 1234)
+	ds := plan.GenDataset(env, testDim, testFact, 1234)
 	// ~25% of 24000 rows survive the filter: more than k, so the heap
 	// genuinely evicts at the grown capacity.
-	res := Q4FilterSortLimit(env, ds, Options{Threads: 2, Pred: testPred, Limit: k})
+	res := Q4FilterSortLimit(env, ds, plan.Options{Threads: 2, Pred: testPred, Limit: k})
 	want := oracleQ4(ds, testPred, k)
 	if len(want) != k {
 		t.Fatalf("oracle emitted %d rows, need > %d filtered rows for the test to bite", len(want), k)
@@ -35,8 +36,8 @@ func TestQ4LimitBeyondScratch(t *testing.T) {
 	// prepared environments (the grown scratch allocates at stable
 	// addresses).
 	env2 := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.PlainCPU})
-	ds2 := GenDataset(env2, testDim, testFact, 1234)
-	res2 := Q4FilterSortLimit(env2, ds2, Options{Threads: 2, Pred: testPred, Limit: k})
+	ds2 := plan.GenDataset(env2, testDim, testFact, 1234)
+	res2 := Q4FilterSortLimit(env2, ds2, plan.Options{Threads: 2, Pred: testPred, Limit: k})
 	if res2.Check != res.Check || res2.WallCycles != res.WallCycles {
 		t.Fatalf("oversized-limit run not deterministic: check %#x/%#x wall %d/%d",
 			res.Check, res2.Check, res.WallCycles, res2.WallCycles)
@@ -56,8 +57,8 @@ func TestSuitePipelines(t *testing.T) {
 		t.Fatalf("suite query not resolvable: %v", err)
 	}
 	env := core.NewEnv(core.Options{Plat: platform.XeonGold6326().Scaled(256), Setting: core.SGXDiE})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	res := p.Run(env, ds, Options{Threads: 2})
+	ds := plan.GenDataset(env, testDim, testFact, 1234)
+	res := p.Run(env, ds, plan.Options{Threads: 2})
 	if res.Pipeline != p.Name || res.Rows == 0 || res.Groups == 0 {
 		t.Fatalf("suite pipeline run malformed: %+v", res)
 	}

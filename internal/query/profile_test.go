@@ -7,20 +7,21 @@ import (
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/obs"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
 )
 
 // profileRun executes one pipeline with an optional profiler attached,
 // on the fast or reference engine path.
-func profileRun(t *testing.T, p Pipeline, setting core.Setting, ref bool, prof *obs.Profiler) *Result {
+func profileRun(t *testing.T, p Pipeline, setting core.Setting, ref bool, prof *obs.Profiler) *plan.Result {
 	t.Helper()
 	env := core.NewEnv(core.Options{
 		Plat:      platform.XeonGold6326().Scaled(256),
 		Setting:   setting,
 		Reference: ref,
 	})
-	ds := GenDataset(env, testDim, testFact, 1234)
-	return p.Run(env, ds, Options{Threads: pipelineThreads(p.Name), Pred: testPred, Profiler: prof})
+	ds := plan.GenDataset(env, testDim, testFact, 1234)
+	return p.Run(env, ds, plan.Options{Threads: pipelineThreads(p.Name), Pred: testPred, Profiler: prof})
 }
 
 // TestProfilerZeroPerturbation is the profiling half of the

@@ -42,42 +42,10 @@ import (
 	"sgxbench/internal/plan"
 )
 
-// The execution-state types moved to internal/plan when the pipelines
-// became plan trees; these aliases keep the query API (and its callers:
-// serve, bench, diag, tests) stable.
-type (
-	// Dataset is the star-schema corpus the pipelines run over.
-	Dataset = plan.Dataset
-	// Options configures a pipeline run.
-	Options = plan.Options
-	// Scratch holds a pipeline's pre-allocated intermediates.
-	Scratch = plan.Scratch
-	// Result reports a completed pipeline.
-	Result = plan.Result
-	// StageStats reports one pipeline stage.
-	StageStats = plan.StageStats
-)
-
-// DefaultLimit is q4's ORDER BY ... LIMIT row count when Options.Limit
-// is zero, and the per-thread top-k capacity NewScratch provisions.
-const DefaultLimit = plan.DefaultLimit
-
-// GenDataset allocates and fills a dataset in env's data region.
-// Deterministic in seed.
-func GenDataset(env *core.Env, nDim, nFact int, seed uint64) *Dataset {
-	return plan.GenDataset(env, nDim, nFact, seed)
-}
-
-// NewScratch pre-allocates intermediates for pipelines over ds with the
-// given thread count; maxRows bounds the rows any stage materializes.
-func NewScratch(env *core.Env, ds *Dataset, threads, maxRows int) *Scratch {
-	return plan.NewScratch(env, ds, threads, maxRows)
-}
-
 // Pipeline is one executable query shape.
 type Pipeline struct {
 	Name string
-	Run  func(env *core.Env, ds *Dataset, opt Options) *Result
+	Run  func(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result
 }
 
 // Pipeline names (the bench workload identifiers).
@@ -94,7 +62,7 @@ const (
 // Q1FilterAgg is σ(fact) → gather → γ(fk; SUM/COUNT/MIN/MAX payload):
 // the selective aggregation query. The gather is data-dependent random
 // access; the group-by keys are the fact foreign keys.
-func Q1FilterAgg(env *core.Env, ds *Dataset, opt Options) *Result {
+func Q1FilterAgg(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q1Name,
 		plan.GroupBy{Input: plan.Gather{Input: plan.Filter{Input: plan.Scan{}}}, Sel: agg.ByKey})
 }
@@ -103,7 +71,7 @@ func Q1FilterAgg(env *core.Env, ds *Dataset, opt Options) *Result {
 // → γ(dim attr): the full star query over the paper's best join. Join
 // outputs land in per-thread pre-allocated buffers and feed the
 // aggregation as segments.
-func Q2FilterJoinAgg(env *core.Env, ds *Dataset, opt Options) *Result {
+func Q2FilterJoinAgg(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q2Name,
 		plan.GroupBy{
 			Input: plan.HashJoin{Input: plan.Gather{Input: plan.Filter{Input: plan.Scan{}}}},
@@ -114,7 +82,7 @@ func Q2FilterJoinAgg(env *core.Env, ds *Dataset, opt Options) *Result {
 // Q3JoinAgg is fact ⋈ dim (PHT, materialized) → γ(dim attr): the
 // unfiltered join-aggregation over the no-partitioning join, whose
 // shared-table build is the paper's most SSB-sensitive operator.
-func Q3JoinAgg(env *core.Env, ds *Dataset, opt Options) *Result {
+func Q3JoinAgg(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q3Name,
 		plan.GroupBy{
 			Input: plan.HashJoin{Input: plan.Scan{}, Shared: true},
@@ -125,9 +93,9 @@ func Q3JoinAgg(env *core.Env, ds *Dataset, opt Options) *Result {
 // Q4FilterSortLimit is σ(fact) → gather → ORDER BY key LIMIT k: the
 // selective top-k query. The shared filter→gather prefix of q1/q2 feeds
 // the heap-based top-k operator; the k survivors are emitted in
-// ascending key order. Result.Groups reports the emitted row count and
-// Result.TopRows the rows themselves (ORDER BY key, ties by tuple).
-func Q4FilterSortLimit(env *core.Env, ds *Dataset, opt Options) *Result {
+// ascending key order. The result's Groups reports the emitted row count and
+// TopRows the rows themselves (ORDER BY key, ties by tuple).
+func Q4FilterSortLimit(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q4Name,
 		plan.TopK{Input: plan.Gather{Input: plan.Filter{Input: plan.Scan{}}}})
 }
@@ -139,7 +107,7 @@ func Q4FilterSortLimit(env *core.Env, ds *Dataset, opt Options) *Result {
 // pass) into the pre-allocated per-thread output buffers, and aggregated
 // by the dimension attribute — the same γ as q2/q3, so any end-to-end
 // slowdown difference is attributable to the join path's access pattern.
-func Q5MergeJoinAgg(env *core.Env, ds *Dataset, opt Options) *Result {
+func Q5MergeJoinAgg(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q5Name,
 		plan.GroupBy{Input: plan.MergeJoin{Input: plan.Scan{}}, Sel: agg.ByPayload})
 }
@@ -149,7 +117,7 @@ func Q5MergeJoinAgg(env *core.Env, ds *Dataset, opt Options) *Result {
 // spill-partitioned operator pair, which detects an EPC capacity limit
 // on the Env and stages partition runs in untrusted memory so the
 // pipeline degrades gracefully instead of collapsing.
-func Q2SFilterJoinAggSpill(env *core.Env, ds *Dataset, opt Options) *Result {
+func Q2SFilterJoinAggSpill(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q2SName,
 		plan.SpillGroupBy{
 			Input: plan.GraceJoin{Input: plan.Gather{Input: plan.Filter{Input: plan.Scan{}}}},
@@ -160,7 +128,7 @@ func Q2SFilterJoinAggSpill(env *core.Env, ds *Dataset, opt Options) *Result {
 // Q3SJoinAggSpill is fact ⋈ dim (GRACE, materialized) → spill γ(dim
 // attr): the unfiltered q3 join-aggregation on the spill-partitioned
 // operator pair.
-func Q3SJoinAggSpill(env *core.Env, ds *Dataset, opt Options) *Result {
+func Q3SJoinAggSpill(env *core.Env, ds *plan.Dataset, opt plan.Options) *plan.Result {
 	return plan.Execute(env, ds, opt, Q3SName,
 		plan.SpillGroupBy{Input: plan.GraceJoin{Input: plan.Scan{}}, Sel: agg.ByPayload})
 }

@@ -43,6 +43,7 @@ import (
 	"sgxbench/internal/core"
 	"sgxbench/internal/engine"
 	"sgxbench/internal/mem"
+	"sgxbench/internal/plan"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/query"
 	"sgxbench/internal/scan"
@@ -253,12 +254,12 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			probe := core.NewEnv(core.Options{
 				Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
 			})
-			pds := query.GenDataset(probe, o.NDim, o.NFact, o.Seed)
-			p.Run(probe, pds, query.Options{
+			pds := plan.GenDataset(probe, o.NDim, o.NFact, o.Seed)
+			p.Run(probe, pds, plan.Options{
 				Threads: 1,
 				Pred:    scan.Predicate{Lo: 16, Hi: 127},
 				MaxRows: o.MaxRows,
-				Scratch: query.NewScratch(probe, pds, 1, o.MaxRows),
+				Scratch: plan.NewScratch(probe, pds, 1, o.MaxRows),
 			})
 			if used := probe.Space.Used(mem.Region{Node: probe.Node, Kind: mem.EPC}); used > 0 {
 				ws := (used + 4095) / 4096
@@ -272,7 +273,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
 			EPCPages: epcPages,
 		})
-		ds := query.GenDataset(env, o.NDim, o.NFact, o.Seed)
+		ds := plan.GenDataset(env, o.NDim, o.NFact, o.Seed)
 		reg := env.DataRegion()
 		// Snapshot before the scratch so the working set below counts
 		// every request-private byte exactly once — the eager scratch,
@@ -280,8 +281,8 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 		// whatever the operators allocate while running (join tables,
 		// partition buffers, ...).
 		preUsed := env.Space.Used(reg)
-		sc := query.NewScratch(env, ds, 1, o.MaxRows)
-		res := p.Run(env, ds, query.Options{
+		sc := plan.NewScratch(env, ds, 1, o.MaxRows)
+		res := p.Run(env, ds, plan.Options{
 			Threads: 1,
 			Pred:    scan.Predicate{Lo: 16, Hi: 127},
 			MaxRows: o.MaxRows,

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -106,11 +105,6 @@ type Config struct {
 	// happens as the event loop passes each boundary and never
 	// schedules events, so it cannot perturb event order.
 	Metrics *obs.Metrics `json:"-"`
-
-	// useHeap replays the scenario on the original container/heap event
-	// queue instead of the timer wheel — the differential-test knob
-	// proving both orderings are bit-identical.
-	useHeap bool
 }
 
 func (c Config) normalized() Config {
@@ -247,33 +241,6 @@ type event struct {
 	who  int    // request (evIssue), attempt (evEnqueue/evTimeout/evItemDone), worker (evDone/evCrash/evRebuilt), client (evArrive)
 	gen  uint64 // worker generation (evDone/evItemDone): stale completions are ignored
 }
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// heapQueue adapts eventHeap to the eventQueue interface — the ordering
-// oracle the timer wheel is differentially tested against.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(e event) { heap.Push(&q.h, e) }
-func (q *heapQueue) pop() event   { return heap.Pop(&q.h).(event) }
-func (q *heapQueue) empty() bool  { return len(q.h) == 0 }
 
 // request is one logical client request: the unit of the latency
 // percentiles and the retry budget. Closed loop keeps one live slot per
@@ -1104,11 +1071,7 @@ func (w *Workload) Simulate(cfg Config) (*Result, error) {
 		classReq:  make([]int, len(w.Classes)),
 		classLat:  make([]uint64, len(w.Classes)),
 	}
-	if cfg.useHeap {
-		s.events = &heapQueue{}
-	} else {
-		s.events = newTimerWheel()
-	}
+	s.events = newEventQueue()
 	if w.InEnclave {
 		s.trans = w.OS.Transition
 	}

@@ -4,16 +4,20 @@ import (
 	"math/bits"
 )
 
-// eventQueue is the simulator's pending-event set. Two implementations
-// exist: the original container/heap binary heap (kept as the ordering
-// oracle for differential tests) and the hierarchical timer wheel below
-// (the default). Both pop events in strictly identical
-// (time, schedule-seq) order, so a replay is bit-identical under either.
+// eventQueue is the simulator's pending-event set. The hierarchical
+// timer wheel below is the one production implementation; the tests
+// keep a container/heap binary heap as the ordering oracle. Both pop
+// events in strictly identical (time, schedule-seq) order, so a replay
+// is bit-identical under either.
 type eventQueue interface {
 	push(event)
 	pop() event
 	empty() bool
 }
+
+// newEventQueue builds each simulation's event queue. The full-replay
+// differential test swaps in the heap oracle.
+var newEventQueue = func() eventQueue { return newTimerWheel() }
 
 const (
 	wheelBits   = 6                                // slots per level = 2^6

@@ -1,12 +1,41 @@
 package serve
 
 import (
+	"container/heap"
 	"testing"
 
 	"sgxbench/internal/core"
 	"sgxbench/internal/platform"
 	"sgxbench/internal/sgx"
 )
+
+// eventHeap is the original container/heap event queue, kept as the
+// ordering oracle the timer wheel is differentially tested against.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// heapQueue adapts eventHeap to the eventQueue interface.
+type heapQueue struct{ h eventHeap }
+
+func (q *heapQueue) push(e event) { heap.Push(&q.h, e) }
+func (q *heapQueue) pop() event   { return heap.Pop(&q.h).(event) }
+func (q *heapQueue) empty() bool  { return len(q.h) == 0 }
 
 // popBoth pops one event from each queue and fails on any divergence:
 // the wheel must reproduce the heap's (time, seq) order bit-exactly,
@@ -142,6 +171,8 @@ func wheelTestWorkload(setting core.Setting) *Workload {
 // gate (whose snapshots predate the wheel) this proves the event-loop
 // refactor changed nothing observable.
 func TestSimulateHeapWheelIdentical(t *testing.T) {
+	wheelQueue := newEventQueue
+	defer func() { newEventQueue = wheelQueue }()
 	base := Config{Clients: 48, Workers: 8, RequestsPerClient: 6, Sync: SyncLockFree, JitterPct: 10, Seed: 7}
 	fault := &FaultPlan{Seed: 11, CrashInterval: 4_000_000, StormInterval: 2_000_000,
 		StormLen: 900_000, StormAEXGap: 2_000, FailPct: 3}
@@ -193,8 +224,9 @@ func TestSimulateHeapWheelIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s (wheel): %v", setting, name, err)
 			}
-			cfg.useHeap = true
+			newEventQueue = func() eventQueue { return &heapQueue{} }
 			hp, err := w.Simulate(cfg)
+			newEventQueue = wheelQueue
 			if err != nil {
 				t.Fatalf("%v/%s (heap): %v", setting, name, err)
 			}
