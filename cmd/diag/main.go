@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"strings"
 
@@ -117,6 +118,37 @@ func pickMode(serveM, faultM, epcM bool, queryName string) (runMode, error) {
 	return m, nil
 }
 
+// Full-size inputs, divided by -scale: the join and -epc modes join a
+// buildMB build side with a probeMB probe side; -query generates a
+// probeMB fact table. The serving modes calibrate on fixed small
+// datasets.
+const (
+	buildMB = 100
+	probeMB = 400
+)
+
+// checkScale validates -scale for the given mode: a positive power of
+// two that leaves every generated relation at least one row.
+func checkScale(mode runMode, scale int64) error {
+	if scale <= 0 || scale&(scale-1) != 0 {
+		return fmt.Errorf("-scale %d must be a positive power of two", scale)
+	}
+	var mb int64
+	switch mode {
+	case modeJoin, modeEPC:
+		mb = buildMB
+	case modeQuery:
+		mb = probeMB
+	default:
+		return nil
+	}
+	if rows := int64(rel.RowsForMB(mb)); scale > rows {
+		return fmt.Errorf("-scale %d leaves the %d MB input with no rows (largest valid: %d)",
+			scale, mb, int64(1)<<(bits.Len64(uint64(rows))-1))
+	}
+	return nil
+}
+
 func parseSetting(s string) (core.Setting, bool) {
 	switch s {
 	case "plain":
@@ -151,8 +183,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *scale <= 0 || *scale&(*scale-1) != 0 {
-		fmt.Fprintf(os.Stderr, "diag: -scale %d must be a positive power of two\n", *scale)
+	if err := checkScale(mode, *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -183,7 +215,7 @@ func main() {
 			os.Exit(2)
 		}
 		nDim := 1 << 13
-		nFact := rel.RowsForMB(400) / int(*scale)
+		nFact := rel.RowsForMB(probeMB) / int(*scale)
 		ds := plan.GenDataset(env, nDim, nFact, 1234)
 		opt := plan.Options{Threads: *threads, Pred: scan.Predicate{Lo: 16, Hi: 127}}
 		var prof *obs.Profiler
@@ -228,8 +260,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	nR := rel.RowsForMB(100) / int(*scale)
-	nS := rel.RowsForMB(400) / int(*scale)
+	nR := rel.RowsForMB(buildMB) / int(*scale)
+	nS := rel.RowsForMB(probeMB) / int(*scale)
 	build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
 	res, err := alg.Run(env, build, probe, join.Options{Threads: *threads, Optimized: *optimize})
 	if err != nil {
@@ -248,8 +280,8 @@ func main() {
 // breakdown: capacity, per-thread budget, residency at completion,
 // fault/eviction/paging-cycle totals and the per-phase fault profile.
 func runEPC(plat *platform.Platform, setting core.Setting) {
-	nR := rel.RowsForMB(100) / int(*scale)
-	nS := rel.RowsForMB(400) / int(*scale)
+	nR := rel.RowsForMB(buildMB) / int(*scale)
+	nS := rel.RowsForMB(probeMB) / int(*scale)
 	pagesFor := func(ws int64) int64 {
 		if *epcRatio <= 0 {
 			return 0
@@ -277,7 +309,7 @@ func runEPC(plat *platform.Platform, setting core.Setting) {
 	}
 	ops := []op{
 		{"join.grace (spill)", wsJoin, func(env *core.Env) (opResult, *exec.Group) {
-			g := env.NewGroup(*threads, nil)
+			g := env.NewGroup(*threads)
 			build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
 			res, err := join.NewGrace().RunOn(env, g, build, probe, join.Options{Optimized: true})
 			if err != nil {
@@ -287,7 +319,7 @@ func runEPC(plat *platform.Platform, setting core.Setting) {
 			return opResult{res.WallCycles, res.Phases, res.Stats}, g
 		}},
 		{"join.pht (naive)", wsJoin, func(env *core.Env) (opResult, *exec.Group) {
-			g := env.NewGroup(*threads, nil)
+			g := env.NewGroup(*threads)
 			build, probe := rel.GenFKPair(env.Space, nR, nS, env.DataRegion(), 1234)
 			res, err := join.NewPHT().RunOn(env, g, build, probe, join.Options{Optimized: true})
 			if err != nil {
@@ -297,12 +329,12 @@ func runEPC(plat *platform.Platform, setting core.Setting) {
 			return opResult{res.WallCycles, res.Phases, res.Stats}, g
 		}},
 		{"agg.spill", wsAgg, func(env *core.Env) (opResult, *exec.Group) {
-			g := env.NewGroup(*threads, nil)
+			g := env.NewGroup(*threads)
 			res := agg.SpillRunOn(env, g, aggInputs(env), agg.Options{Sel: agg.ByKey, Groups: nR})
 			return opResult{res.WallCycles, res.Phases, res.Stats}, g
 		}},
 		{"agg.direct (naive)", wsAgg, func(env *core.Env) (opResult, *exec.Group) {
-			g := env.NewGroup(1, nil)
+			g := env.NewGroup(1)
 			res := agg.DirectRunOn(env, g, aggInputs(env), agg.Options{Sel: agg.ByKey, Groups: nR})
 			return opResult{res.WallCycles, res.Phases, res.Stats}, g
 		}},

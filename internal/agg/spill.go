@@ -75,7 +75,7 @@ func spillAggPassBits(env *core.Env, n, groups, threads int) []uint {
 // SpillRun executes the spill-partitioned group-by over the concatenated
 // inputs under env.
 func SpillRun(env *core.Env, ins []Input, opt Options) *Result {
-	return SpillRunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), ins, opt)
+	return SpillRunOn(env, env.NewGroup(opt.threads()), ins, opt)
 }
 
 // SpillRunOn executes the spill-partitioned group-by on an existing
@@ -259,7 +259,6 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 		}
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for _, gp := range res.PartGroups {
 		res.Groups += gp
 	}
@@ -270,7 +269,7 @@ func SpillRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result 
 
 // DirectRun executes the naive single-table group-by under env.
 func DirectRun(env *core.Env, ins []Input, opt Options) *Result {
-	return DirectRunOn(env, env.NewGroup(1, opt.NodeOf), ins, opt)
+	return DirectRunOn(env, env.NewGroup(1), ins, opt)
 }
 
 // DirectRunOn executes the naive group-by on the group's first thread:
@@ -308,7 +307,6 @@ func DirectRunOn(env *core.Env, g *exec.Group, ins []Input, opt Options) *Result
 		w.emit(t, out, 0, int(nG))
 		res.Groups = int(nG)
 	})
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	res.PartStart = []int{0, res.Groups}
 	res.PartGroups = []int{res.Groups}
 	res.Check = checksum(out, res.PartStart, res.PartGroups)

@@ -79,11 +79,6 @@ func (s Setting) Mode() engine.Mode {
 type Options struct {
 	Plat    *platform.Platform // default: XeonGold6326
 	Setting Setting
-	Node    int             // home NUMA node for data and threads
-	Policy  sgx.AllocPolicy // default: PreAllocated / EnclaveStatic
-	OS      sgx.OSCosts     // default: sgx.DefaultOSCosts
-	SGX     engine.SGXCosts // default: engine.DefaultSGXCosts
-	Space   *mem.Space      // default: fresh space per Env
 	// EPCPages caps the enclave's EPC at this many 4 KiB pages; data
 	// accesses beyond it demand-page with eviction (the oversubscription
 	// regime). 0 means unlimited — the default, and the behaviour of every
@@ -101,12 +96,8 @@ type Env struct {
 	Space     *mem.Space
 	Setting   Setting
 	Mode      engine.Mode
-	OS        sgx.OSCosts
 	SGX       engine.SGXCosts
-	Node      int
 	Reference bool // per-op reference engine path (see Options.Reference)
-	Alloc     *sgx.Allocator
-	Enclave   *sgx.Enclave // nil outside enclaves
 	// EPC is the enclave's finite EPC capacity model (nil: unlimited).
 	EPC *engine.EPCDomain
 	// EPCPages echoes Options.EPCPages (0: unlimited), for diagnostics.
@@ -121,40 +112,21 @@ func NewEnv(o Options) *Env {
 	if err := o.Plat.Validate(); err != nil {
 		panic(err)
 	}
-	if o.OS == (sgx.OSCosts{}) {
-		o.OS = sgx.DefaultOSCosts()
-	}
-	if o.SGX == (engine.SGXCosts{}) {
-		o.SGX = engine.DefaultSGXCosts()
-	}
-	if o.Space == nil {
-		o.Space = mem.NewSpace(o.Plat.Sockets)
-	}
-	policy := o.Policy
-	if policy == sgx.PreAllocated && o.Setting.InEnclave() {
-		policy = sgx.EnclaveStatic
-	}
-	e := &Env{
+	return &Env{
 		Plat:      o.Plat,
-		Space:     o.Space,
+		Space:     mem.NewSpace(o.Plat.Sockets),
 		Setting:   o.Setting,
 		Mode:      o.Setting.Mode(),
-		OS:        o.OS,
-		SGX:       o.SGX,
-		Node:      o.Node,
+		SGX:       engine.DefaultSGXCosts(),
 		Reference: o.Reference,
-		EPC:       sgx.NewEPCDomain(o.EPCPages, o.OS),
+		EPC:       sgx.NewEPCDomain(o.EPCPages, sgx.DefaultOSCosts()),
 		EPCPages:  o.EPCPages,
 	}
-	e.Alloc = sgx.NewAllocator(o.Space, e.DataRegion(), policy, o.OS)
-	if o.Setting.InEnclave() {
-		e.Enclave = sgx.NewEnclave(o.Node, policy, o.OS)
-	}
-	return e
 }
 
-// DataRegion returns where operator data is placed under this setting.
-func (e *Env) DataRegion() mem.Region { return e.RegionOn(e.Node) }
+// DataRegion returns where operator data is placed under this setting:
+// socket 0, the paper's single-socket default.
+func (e *Env) DataRegion() mem.Region { return e.RegionOn(0) }
 
 // SpillRegion returns where spill-partitioned operators stage their
 // partition runs. When the EPC is capacity-limited the runs are staged in
@@ -163,12 +135,13 @@ func (e *Env) DataRegion() mem.Region { return e.RegionOn(e.Node) }
 // staging stays in the normal data region.
 func (e *Env) SpillRegion() mem.Region {
 	if e.EPCPages > 0 {
-		return mem.Region{Node: e.Node, Kind: mem.Untrusted}
+		return mem.Region{Node: 0, Kind: mem.Untrusted}
 	}
 	return e.DataRegion()
 }
 
-// RegionOn returns the data region pinned to a specific node.
+// RegionOn returns the data region pinned to a specific node. Data
+// placed off socket 0 is reached over UPI by the socket-0 threads.
 func (e *Env) RegionOn(node int) mem.Region {
 	k := mem.Untrusted
 	if e.Setting.DataInEPC() {
@@ -179,17 +152,12 @@ func (e *Env) RegionOn(node int) mem.Region {
 
 // EngineConfig returns the thread construction config for this Env.
 func (e *Env) EngineConfig() engine.Config {
-	return engine.Config{Plat: e.Plat, Mode: e.Mode, Costs: e.SGX, Node: e.Node, Reference: e.Reference, EPC: e.EPC}
+	return engine.Config{Plat: e.Plat, Mode: e.Mode, Costs: e.SGX, Reference: e.Reference, EPC: e.EPC}
 }
 
-// NewGroup creates a thread group homed on e.Node. nodeOf may remap
-// individual threads to other sockets (NUMA experiments); nil pins all
-// threads to e.Node.
-func (e *Env) NewGroup(threads int, nodeOf func(i int) int) *exec.Group {
-	if nodeOf == nil {
-		nodeOf = func(int) int { return e.Node }
-	}
-	return exec.NewGroup(e.EngineConfig(), threads, nodeOf)
+// NewGroup creates a thread group on socket 0.
+func (e *Env) NewGroup(threads int) *exec.Group {
+	return exec.NewGroup(e.EngineConfig(), threads)
 }
 
 // NewThread creates one standalone thread (micro-benchmarks).

@@ -40,12 +40,12 @@ type EPCDomain struct {
 	// EWB encrypted write-back of the victim plus its TLB shootdown.
 	PageOutCycles uint64
 
-	serial atomic.Uint64 // kernel-serialized paging cycles (cf. sgx.Allocator)
+	serial atomic.Uint64 // kernel-serialized paging cycles
 }
 
 // SerialCycles returns the serialized paging cycles accumulated since the
 // last call and resets the counter. The phase runner folds this into wall
-// time exactly like EDMM commit serialization.
+// time.
 func (d *EPCDomain) SerialCycles() uint64 {
 	if d == nil {
 		return 0

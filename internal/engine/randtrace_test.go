@@ -141,7 +141,9 @@ func minInt64(a, b int64) int64 {
 
 // TestRandomTraceEquivalence runs the generated traces under every
 // execution setting and several seeds, asserting bit-identical stats and
-// token checksums between the reference and fast engine paths.
+// token checksums between the reference and fast engine paths. The big
+// buffer is placed on socket 0 (local) and socket 1 (remote), so the
+// cross-socket UPI path runs under both engines too.
 func TestRandomTraceEquivalence(t *testing.T) {
 	plat := platform.XeonGold6326().Scaled(256)
 	steps := 300
@@ -151,26 +153,31 @@ func TestRandomTraceEquivalence(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, s := range gatherSettings() {
-		for _, seed := range seeds {
-			run := func(ref bool) (uint64, engine.Stats) {
-				sp := mem.NewSpace(plat.Sockets)
-				reg := mem.Region{Node: 0, Kind: s.kind}
-				big := sp.Alloc("big", 1<<20, reg)
-				small := sp.Alloc("small", 1<<12, reg)
-				th := engine.NewThread(engine.Config{
-					Plat: plat, Mode: s.mode, Costs: engine.DefaultSGXCosts(),
-					Reference: ref,
-				}, 0)
-				sum := randTrace(th, &big, &small, seed, steps)
-				return sum, th.Stats()
-			}
-			refSum, refStats := run(true)
-			fastSum, fastStats := run(false)
-			if refSum != fastSum {
-				t.Errorf("%s seed %d: token checksum ref=%d fast=%d", s.name, seed, refSum, fastSum)
-			}
-			if refStats != fastStats {
-				t.Errorf("%s seed %d: stats differ\nref:  %+v\nfast: %+v", s.name, seed, refStats, fastStats)
+		for _, node := range []int{0, 1} {
+			for _, seed := range seeds {
+				run := func(ref bool) (uint64, engine.Stats) {
+					sp := mem.NewSpace(plat.Sockets)
+					big := sp.Alloc("big", 1<<20, mem.Region{Node: node, Kind: s.kind})
+					small := sp.Alloc("small", 1<<12, mem.Region{Node: 0, Kind: s.kind})
+					th := engine.NewThread(engine.Config{
+						Plat: plat, Mode: s.mode, Costs: engine.DefaultSGXCosts(),
+						Reference: ref,
+					}, 0)
+					sum := randTrace(th, &big, &small, seed, steps)
+					return sum, th.Stats()
+				}
+				refSum, refStats := run(true)
+				fastSum, fastStats := run(false)
+				if refSum != fastSum {
+					t.Errorf("%s node %d seed %d: token checksum ref=%d fast=%d", s.name, node, seed, refSum, fastSum)
+				}
+				if refStats != fastStats {
+					t.Errorf("%s node %d seed %d: stats differ\nref:  %+v\nfast: %+v", s.name, node, seed, refStats, fastStats)
+				}
+				if remote := fastStats.UPIBytes > 0; remote != (node == 1) {
+					t.Errorf("%s node %d seed %d: UPIBytes=%d, want cross-socket traffic only on node 1",
+						s.name, node, seed, fastStats.UPIBytes)
+				}
 			}
 		}
 	}

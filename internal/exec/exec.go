@@ -41,26 +41,14 @@ type PhaseStats struct {
 	Agg        engine.Stats
 }
 
-// NewGroup creates n threads. nodeOf maps a thread index to its socket
-// (nil pins everything to node 0, the paper's default single-socket
-// setup). Threads on the same socket share that socket's L3.
-func NewGroup(cfg engine.Config, n int, nodeOf func(i int) int) *Group {
-	if nodeOf == nil {
-		nodeOf = func(int) int { return 0 }
-	}
-	perNode := map[int]int{}
-	for i := 0; i < n; i++ {
-		perNode[nodeOf(i)]++
-	}
+// NewGroup creates n threads on cfg.Node, the paper's single-socket
+// setup: all n share that socket's L3 and the enclave's EPC.
+func NewGroup(cfg engine.Config, n int) *Group {
+	cfg.L3Share = n
+	cfg.EPCShare = n
 	g := &Group{Plat: cfg.Plat, Threads: make([]*engine.Thread, n), epc: cfg.EPC}
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Node = nodeOf(i)
-		c.L3Share = perNode[c.Node]
-		// The EPC is per enclave, not per socket: all n threads share it
-		// regardless of the node mapping.
-		c.EPCShare = n
-		g.Threads[i] = engine.NewThread(c, i)
+	for i := range g.Threads {
+		g.Threads[i] = engine.NewThread(cfg, i)
 	}
 	return g
 }
@@ -89,18 +77,6 @@ func (g *Group) Scope(name string) func() {
 	g.prof.Push(name)
 	start := g.clock
 	return func() { g.prof.Pop(g.clock - start) }
-}
-
-// AdvanceClock adds serialized cycles (e.g. EDMM page commits) to the
-// group clock between phases.
-func (g *Group) AdvanceClock(cycles uint64) {
-	g.clock += cycles
-	for _, t := range g.Threads {
-		t.SetCycle(g.clock)
-	}
-	if g.prof != nil && cycles > 0 {
-		g.prof.Leaf("edmm.commit", cycles, nil)
-	}
 }
 
 // Phase runs body on every thread concurrently, waits for all, and

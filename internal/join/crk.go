@@ -82,7 +82,7 @@ func crackBit(t *engine.Thread, tup *mem.U64Buf, lo, hi int, bit uint) int {
 // Run executes the join.
 func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := opt.threads()
-	g := env.NewGroup(T, opt.NodeOf)
+	g := env.NewGroup(T)
 	res := &Result{Algorithm: c.Name()}
 
 	// CrkJoin cracks in place: work on clones so callers keep their
@@ -93,9 +93,6 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 	// Total bits: partitions sized for L2, as configured by the authors.
 	b1, b2 := RadixBits(env, build.N())
 	bits := b1 + b2
-	if opt.RadixBits > 0 {
-		bits = uint(opt.RadixBits)
-	}
 	nPart := 1 << bits
 
 	// Partition boundaries per table: bounds[k] holds 2^level+1 offsets.
@@ -165,7 +162,6 @@ func (c *Crk) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Resu
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for id := 0; id < T; id++ {
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]

@@ -40,15 +40,6 @@ type Options struct {
 	// Materialize writes output tuples (probe payload, build payload)
 	// instead of only counting matches (Section 4.4, Fig 12).
 	Materialize bool
-	// NodeOf optionally pins thread i to a socket (NUMA experiments).
-	NodeOf func(i int) int
-	// CollectTasks records per-task durations of the in-cache join phase
-	// (RHO only), enabling the Fig 11 queue-contention replay.
-	CollectTasks bool
-	// RadixBits overrides RHO's automatic radix-bit choice (0 = auto).
-	// Larger values force smaller partitions — used to create queue
-	// contention for the Fig 11 experiment.
-	RadixBits int
 	// OutBufs, when Materialize is set, provides pre-allocated per-thread
 	// output buffers (index = thread id). Materialized rows then land at
 	// deterministic simulated addresses instead of dynamically claimed
@@ -86,9 +77,6 @@ type Result struct {
 	// PHT; used for the Fig 4/6 breakdowns.
 	BuildCycles uint64
 	ProbeCycles uint64
-	// TaskCycles are per-partition join task durations when
-	// Options.CollectTasks is set.
-	TaskCycles []uint64
 	// Output holds materialized output rows per thread (when requested).
 	Output [][]uint64
 	// Stats aggregates engine counters over all phases.

@@ -52,7 +52,7 @@ func TestMergeJoinSortedDuplicates(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		R := mkSorted(env, "R", r)
 		S := mkSorted(env, "S", s)
-		g := env.NewGroup(threads, nil)
+		g := env.NewGroup(threads)
 		res := MergeJoinSorted(env, g, R, len(r), S, len(s), 8, Options{})
 		if res.Matches != want {
 			t.Errorf("T=%d: matches=%d want %d", threads, res.Matches, want)
@@ -68,7 +68,7 @@ func TestMergeJoinSortedMaterializedDuplicates(t *testing.T) {
 	s := []uint64{mem.MakeTuple(2, 20), mem.MakeTuple(2, 21), mem.MakeTuple(4, 22)}
 	R := mkSorted(env, "R", r)
 	S := mkSorted(env, "S", s)
-	g := env.NewGroup(1, nil)
+	g := env.NewGroup(1)
 	res := MergeJoinSorted(env, g, R, len(r), S, len(s), 5, Options{Materialize: true})
 	var got []uint64
 	for _, rows := range res.Output {

@@ -7,18 +7,15 @@ import (
 )
 
 // outChunkRows is the number of rows per materialization chunk. Output
-// memory is claimed chunk-wise during the join, which is exactly the
-// allocation pattern whose cost Fig 12 studies: with a pre-allocated /
-// statically sized enclave the claims are free, with dynamic allocation
-// each chunk faults its pages in, and with EDMM each page commit runs the
-// expensive enclave resize protocol.
+// memory is claimed chunk-wise during the join. Claims are free, as in a
+// statically sized enclave; the cost of committing pages at run time
+// (Fig 12's EDMM collapse) is modelled per request by serve's MemDynamic.
 const outChunkRows = 1 << 16
 
 // outWriter materializes join output tuples for one worker thread.
 //
 // Two backing modes: by default output memory is claimed chunk-wise from
-// the shared allocator during the join (the Fig 12 allocation-cost
-// pattern); with a pre-allocated fixed buffer (Options.OutBufs) every
+// the env's space during the join; with a pre-allocated fixed buffer (Options.OutBufs) every
 // store lands at a deterministic simulated address, which is what makes
 // multi-threaded materializing pipelines reproducible enough for exact
 // golden-stats gating. A fixed buffer that fills up falls back to chunk
@@ -50,7 +47,7 @@ func (w *outWriter) append(t *engine.Thread, row uint64, dep engine.Tok) {
 		return
 	}
 	if w.cur == nil || w.pos == w.cur.Len() {
-		w.cur = w.env.Alloc.AllocU64(t, "out", outChunkRows)
+		w.cur = w.env.Space.AllocU64("out", outChunkRows, w.env.DataRegion())
 		w.chunks = append(w.chunks, w.cur)
 		w.pos = 0
 	}

@@ -74,8 +74,8 @@ func newPHTTable(env *core.Env, nBuild int) *phtTable {
 	nBuckets := nextPow2((nBuild + 1) / 2)
 	ht := &phtTable{
 		bits:     log2(nBuckets),
-		buckets:  env.Alloc.Raw(nil, "pht.buckets", int64(nBuckets)*bucketBytes),
-		overflow: env.Alloc.Raw(nil, "pht.overflow", int64(nBuild+1)*16),
+		buckets:  env.Space.Raw("pht.buckets", int64(nBuckets)*bucketBytes, env.DataRegion()),
+		overflow: env.Space.Raw("pht.overflow", int64(nBuild+1)*16, env.DataRegion()),
 		flat:     make([]uint64, nBuckets*bucketStride),
 		over:     make(map[int][]uint64),
 	}
@@ -339,7 +339,7 @@ func (h *phtTable) probeBatch(t *engine.Thread, tups []uint64, keyToks []engine.
 
 // Run executes the join.
 func (p *PHT) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return p.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	return p.RunOn(env, env.NewGroup(opt.threads()), build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage
@@ -430,7 +430,6 @@ func (p *PHT) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	})
 	res.ProbeCycles = pp.WallCycles
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for _, c := range counts {
 		res.Matches += c
 	}

@@ -82,25 +82,17 @@ func newRHOState(env *core.Env, in *rel.Relation, threads int, p1, p2 int) *rhoS
 
 // Run executes the join.
 func (r *RHO) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return r.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	return r.RunOn(env, env.NewGroup(opt.threads()), build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group (pipeline stage
 // composition: simulated cache/TLB state carries over from the previous
-// stage). Options.Threads and NodeOf are ignored; the group decides both.
+// stage). Options.Threads is ignored; the group decides it.
 // Result timing and stats cover only this stage's phases.
 func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
 	mark := g.Mark()
 	b1, b2 := RadixBits(env, build.N())
-	if opt.RadixBits > 0 {
-		b := uint(opt.RadixBits)
-		b1 = (b + 1) / 2
-		b2 = b - b1
-		if b2 < 1 {
-			b2 = 1
-		}
-	}
 	p1, p2 := 1<<b1, 1<<b2
 	R := newRHOState(env, build, T, p1, p2)
 	S := newRHOState(env, probe, T, p1, p2)
@@ -229,10 +221,6 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 	buildCy := make([]uint64, T)
 	probeCy := make([]uint64, T)
 	outs := make([]*outWriter, T)
-	var taskCy [][]uint64
-	if opt.CollectTasks {
-		taskCy = make([][]uint64, T)
-	}
 	g.Phase("Join", func(t *engine.Thread, id int) {
 		var out *outWriter
 		if opt.Materialize {
@@ -241,7 +229,6 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 		}
 		var local uint64
 		for pp := id; pp < p1; pp += T {
-			taskStart := t.Cycle()
 			for j := 0; j < p2; j++ {
 				fp := pp*p2 + j
 				local += joinPartition(t,
@@ -249,21 +236,14 @@ func (r *RHO) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, op
 					S.out, S.start2[fp], S.start2[fp]+S.count2[fp],
 					scratches[id], opt.Optimized, out, &buildCy[id], &probeCy[id])
 			}
-			if opt.CollectTasks {
-				taskCy[id] = append(taskCy[id], t.Cycle()-taskStart)
-			}
 		}
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for id := 0; id < T; id++ {
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]
 		res.ProbeCycles += probeCy[id]
-		if opt.CollectTasks {
-			res.TaskCycles = append(res.TaskCycles, taskCy[id]...)
-		}
 	}
 	if opt.Materialize {
 		res.Output = make([][]uint64, T)

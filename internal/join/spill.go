@@ -125,28 +125,15 @@ func (st *graceState) src() *mem.U64Buf {
 
 // Run executes the join.
 func (gr *Grace) Run(env *core.Env, build, probe *rel.Relation, opt Options) (*Result, error) {
-	return gr.RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), build, probe, opt)
+	return gr.RunOn(env, env.NewGroup(opt.threads()), build, probe, opt)
 }
 
 // RunOn executes the join on an existing thread group. The pass plan is
-// budget-driven (spillPassBits); Options.RadixBits, when set, overrides
-// the total bit count but keeps the budget-driven per-pass split.
+// budget-driven (spillPassBits).
 func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation, opt Options) (*Result, error) {
 	T := len(g.Threads)
 	mark := g.Mark()
 	passes := spillPassBits(env, build.N(), T)
-	if opt.RadixBits > 0 {
-		per := passes[0]
-		passes = nil
-		for total := uint(opt.RadixBits); total > 0; {
-			b := total
-			if b > per {
-				b = per
-			}
-			passes = append(passes, b)
-			total -= b
-		}
-	}
 	res := &Result{Algorithm: gr.Name()}
 
 	unroll := 1
@@ -324,7 +311,6 @@ func (gr *Grace) RunOn(env *core.Env, g *exec.Group, build, probe *rel.Relation,
 		counts[id] = local
 	})
 
-	g.AdvanceClock(env.Alloc.SerialCycles())
 	for id := 0; id < T; id++ {
 		res.Matches += counts[id]
 		res.BuildCycles += buildCy[id]

@@ -288,7 +288,7 @@ func wsPages(setting core.Setting, threads int) int64 {
 	ds := GenDataset(env, calDim, calFact, 4242)
 	Execute(env, ds, Options{Threads: threads, Pred: calPredHi}, "cal.ws",
 		Query{Pred: calPredHi, Dims: 1}.Tree(Alternative{Join: JoinRHO, Agg: AggHash}))
-	used := env.Space.Used(mem.Region{Node: env.Node, Kind: mem.EPC})
+	used := env.Space.Used(mem.Region{Node: 0, Kind: mem.EPC})
 	if used <= 0 {
 		used = env.Space.Used(env.DataRegion())
 	}

@@ -93,8 +93,6 @@ func (ds *Dataset) dim(level int) *rel.Relation {
 type Options struct {
 	// Threads is the number of worker threads (default 1).
 	Threads int
-	// NodeOf pins thread i to a socket (nil: the env's node).
-	NodeOf func(i int) int
 	// Pred is the fact filter predicate (the Filter node's knob).
 	Pred scan.Predicate
 	// MaxRows caps the filtered rows fed downstream (0: no cap) — the

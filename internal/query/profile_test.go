@@ -60,8 +60,8 @@ func TestProfilerZeroPerturbation(t *testing.T) {
 
 // TestProfilerTreeAccountsPipeline pins the profile's shape for one
 // representative hash pipeline: the pipeline scope carries the full
-// wall time, its stage children partition it (plus EDMM commit leaves),
-// and the folded export's self times sum back to the total.
+// wall time, its stage children partition it, and the folded export's
+// self times sum back to the total.
 func TestProfilerTreeAccountsPipeline(t *testing.T) {
 	p, err := ByName(Q2Name)
 	if err != nil {

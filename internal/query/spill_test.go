@@ -39,7 +39,7 @@ func spillPipelineEPCHalf(t *testing.T) int64 {
 		t.Fatal(err)
 	}
 	p.Run(env, ds, plan.Options{Threads: pipelineThreads(p.Name), Pred: testPred})
-	used := env.Space.Used(mem.Region{Node: env.Node, Kind: mem.EPC})
+	used := env.Space.Used(mem.Region{Node: 0, Kind: mem.EPC})
 	pages := used / 4096 / 2
 	if pages < 1 {
 		t.Fatalf("probe found no EPC working set (used=%d bytes)", used)

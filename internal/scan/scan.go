@@ -210,8 +210,6 @@ type Options struct {
 	RowIDs bool
 	// Passes repeats the scan (cache warm-up measurements, Fig 13).
 	Passes int
-	// NodeOf pins thread i to a socket (cross-NUMA scans, Fig 16).
-	NodeOf func(i int) int
 	// Bits / IDs, when non-nil, are used as the (pre-allocated) result
 	// buffers instead of allocating fresh ones — the paper assumes scan
 	// result memory is pre-allocated, and reuse keeps repeated benchmark
@@ -237,13 +235,13 @@ func (o Options) passes() int {
 
 // Run executes a multi-threaded scan of col under env.
 func Run(env *core.Env, col *mem.U8Buf, opt Options) *Result {
-	return RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), col, opt)
+	return RunOn(env, env.NewGroup(opt.threads()), col, opt)
 }
 
 // RunOn executes the scan on an existing thread group — the pipeline
 // form: a query plan shares one group across its stages so simulated
-// cache/TLB state carries over operator boundaries. Options.Threads and
-// NodeOf are ignored (the group decides both); Result timing and phases
+// cache/TLB state carries over operator boundaries. Options.Threads is
+// ignored (the group decides it); Result timing and phases
 // cover only this stage.
 func RunOn(env *core.Env, g *exec.Group, col *mem.U8Buf, opt Options) *Result {
 	T := len(g.Threads)

@@ -174,8 +174,7 @@ type Workload struct {
 type CalibrateOptions struct {
 	Plat      *platform.Platform // default: XeonGold6326().Scaled(32)
 	Setting   core.Setting
-	Reference bool        // per-op reference engine path
-	OS        sgx.OSCosts // default: sgx.DefaultOSCosts
+	Reference bool // per-op reference engine path
 	// Dataset shape. Serving workloads are many small queries, so the
 	// defaults are deliberately tiny: NDim 256, NFact 4096.
 	NDim, NFact, MaxRows int
@@ -195,9 +194,6 @@ type CalibrateOptions struct {
 func (o *CalibrateOptions) defaults() {
 	if o.Plat == nil {
 		o.Plat = platform.XeonGold6326().Scaled(32)
-	}
-	if o.OS == (sgx.OSCosts{}) {
-		o.OS = sgx.DefaultOSCosts()
 	}
 	if o.NDim == 0 {
 		o.NDim = 1 << 8
@@ -227,7 +223,7 @@ func (o *CalibrateOptions) defaults() {
 //
 // Every class runs on a fresh environment (cold simulated caches, fresh
 // address space), single-threaded — one pool worker executes one
-// request — under the pre-sized allocation policy: dynamic-memory costs
+// request — with memory pre-sized: dynamic-memory costs (MemDynamic)
 // are the serving layer's to charge, per scenario. The calibration is
 // deterministic and bit-identical between engine paths, which makes
 // every downstream Simulate result so too.
@@ -236,7 +232,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 	w := &Workload{
 		Setting:   o.Setting,
 		Plat:      o.Plat,
-		OS:        o.OS,
+		OS:        sgx.DefaultOSCosts(),
 		InEnclave: o.Setting.InEnclave(),
 	}
 	w.EPCRatio = o.EPCRatio
@@ -252,7 +248,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			// requested ratio. Settings that keep data out of EPC probe
 			// zero and stay unlimited.
 			probe := core.NewEnv(core.Options{
-				Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
+				Plat: o.Plat, Setting: o.Setting, Reference: o.Reference,
 			})
 			pds := plan.GenDataset(probe, o.NDim, o.NFact, o.Seed)
 			p.Run(probe, pds, plan.Options{
@@ -261,7 +257,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 				MaxRows: o.MaxRows,
 				Scratch: plan.NewScratch(probe, pds, 1, o.MaxRows),
 			})
-			if used := probe.Space.Used(mem.Region{Node: probe.Node, Kind: mem.EPC}); used > 0 {
+			if used := probe.Space.Used(mem.Region{Node: 0, Kind: mem.EPC}); used > 0 {
 				ws := (used + 4095) / 4096
 				epcPages = int64(float64(ws) / o.EPCRatio)
 				if epcPages < 1 {
@@ -270,7 +266,7 @@ func Calibrate(o CalibrateOptions) (*Workload, error) {
 			}
 		}
 		env := core.NewEnv(core.Options{
-			Plat: o.Plat, Setting: o.Setting, OS: o.OS, Reference: o.Reference,
+			Plat: o.Plat, Setting: o.Setting, Reference: o.Reference,
 			EPCPages: epcPages,
 		})
 		ds := plan.GenDataset(env, o.NDim, o.NFact, o.Seed)

@@ -1,20 +1,17 @@
-// Package sgx models the software-visible costs of the SGXv2 runtime: the
-// enclave life cycle, enclave transitions (ECALL/OCALL), Enclave Dynamic
-// Memory Management (EDMM) page commits, and the SGX SDK synchronization
-// primitives whose transition-based design the paper shows to be
-// disastrous under contention (Section 4.4).
+// Package sgx models the software-visible costs of the SGXv2 runtime:
+// the OS/SDK cost set (enclave transitions, Enclave Dynamic Memory
+// Management (EDMM) page commits, EPC demand paging), the enclave's EPC
+// capacity model, the enclave failure costs (fault.go), and the SGX SDK
+// synchronization primitives whose transition-based design the paper
+// shows to be disastrous under contention (Section 4.4). The serving
+// layer (internal/serve) charges transitions and EDMM commits per
+// request; the EPC capacity model plugs into the engine.
 //
 // Hardware-level memory costs (TME-MK, EPCM checks, UPI encryption) live
 // in the engine; this package covers the OS/SDK interaction layer.
 package sgx
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"sgxbench/internal/engine"
-	"sgxbench/internal/mem"
-)
+import "sgxbench/internal/engine"
 
 // OSCosts parameterizes OS- and SDK-level costs (cycles).
 type OSCosts struct {
@@ -78,143 +75,6 @@ func NewEPCDomain(capPages int64, c OSCosts) *engine.EPCDomain {
 		PageOutCycles: c.EPCPageOut,
 	}
 }
-
-// AllocPolicy selects how operator working memory is provisioned, the
-// axis of Fig 12.
-type AllocPolicy int
-
-const (
-	// PreAllocated: memory was allocated and touched before measurement
-	// (the paper's default benchmark setting).
-	PreAllocated AllocPolicy = iota
-	// DynamicOS: plain CPU dynamic allocation; pages fault in on first
-	// touch.
-	DynamicOS
-	// EnclaveStatic: a statically sized enclave with all EPC pages
-	// committed at enclave build time.
-	EnclaveStatic
-	// EnclaveEDMM: a dynamically sized enclave; pages beyond the
-	// pre-committed minimum are added via EDMM on demand.
-	EnclaveEDMM
-)
-
-func (p AllocPolicy) String() string {
-	switch p {
-	case PreAllocated:
-		return "pre-allocated"
-	case DynamicOS:
-		return "dynamic (OS)"
-	case EnclaveStatic:
-		return "static enclave size"
-	case EnclaveEDMM:
-		return "dynamic enclave size (EDMM)"
-	default:
-		return fmt.Sprintf("AllocPolicy(%d)", int(p))
-	}
-}
-
-// Allocator provisions simulated memory under a policy and charges the
-// per-page costs to the allocating thread. EDMM page commits additionally
-// serialize globally; SerialCycles exposes the accumulated serial cost so
-// the phase runner can raise the wall clock accordingly.
-type Allocator struct {
-	Space  *mem.Space
-	Reg    mem.Region
-	Policy AllocPolicy
-	Costs  OSCosts
-
-	pages  atomic.Int64 // pages committed under DynamicOS/EnclaveEDMM
-	serial atomic.Int64 // accumulated serialized cycles (EDMM)
-}
-
-// NewAllocator returns an allocator for region reg under the policy.
-func NewAllocator(space *mem.Space, reg mem.Region, policy AllocPolicy, costs OSCosts) *Allocator {
-	return &Allocator{Space: space, Reg: reg, Policy: policy, Costs: costs}
-}
-
-// charge applies the policy cost for n fresh bytes to thread t (t may be
-// nil for setup-time allocations, which are free in every policy, mirroring
-// the paper's "measurements start after data is allocated and initialized").
-func (a *Allocator) charge(t *engine.Thread, n int64) {
-	if t == nil {
-		return
-	}
-	pages := (n + 4095) / 4096
-	switch a.Policy {
-	case PreAllocated, EnclaveStatic:
-		// No run-time cost: pages are resident and, for enclaves,
-		// EADD-ed at build time.
-	case DynamicOS:
-		t.Work(uint64(pages) * a.Costs.MinorFault)
-		a.pages.Add(pages)
-	case EnclaveEDMM:
-		// The faulting thread runs the AEX/EACCEPT protocol for its own
-		// pages and the kernel serializes commits across threads.
-		t.Work(uint64(pages) * a.Costs.EDMMPage)
-		a.pages.Add(pages)
-		a.serial.Add(pages * int64(a.Costs.EDMMPage))
-	}
-}
-
-// AllocU64 provisions an n-word tuple buffer, charging t per policy.
-func (a *Allocator) AllocU64(t *engine.Thread, name string, n int) *mem.U64Buf {
-	b := a.Space.AllocU64(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// AllocU32 provisions an n-word buffer, charging t per policy.
-func (a *Allocator) AllocU32(t *engine.Thread, name string, n int) *mem.U32Buf {
-	b := a.Space.AllocU32(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// AllocU8 provisions an n-byte buffer, charging t per policy.
-func (a *Allocator) AllocU8(t *engine.Thread, name string, n int) *mem.U8Buf {
-	b := a.Space.AllocU8(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// Raw provisions an untyped buffer, charging t per policy.
-func (a *Allocator) Raw(t *engine.Thread, name string, n int64) mem.Buffer {
-	b := a.Space.Raw(name, n, a.Reg)
-	a.charge(t, b.Size)
-	return b
-}
-
-// PagesCommitted returns the number of pages committed at run time.
-func (a *Allocator) PagesCommitted() int64 { return a.pages.Load() }
-
-// SerialCycles returns the serialized page-commit cycles accumulated so
-// far and resets the counter. The phase runner folds this into wall time.
-func (a *Allocator) SerialCycles() uint64 {
-	return uint64(a.serial.Swap(0))
-}
-
-// Enclave bundles an enclave's identity and cost model. It exists mostly
-// for documentation value in the public API: experiments construct one to
-// express "this work runs inside an enclave on socket N".
-type Enclave struct {
-	Node   int
-	Costs  OSCosts
-	policy AllocPolicy
-}
-
-// NewEnclave creates an enclave on the given NUMA node.
-func NewEnclave(node int, policy AllocPolicy, costs OSCosts) *Enclave {
-	return &Enclave{Node: node, Costs: costs, policy: policy}
-}
-
-// ECall charges one enclave entry to t.
-func (e *Enclave) ECall(t *engine.Thread) { t.Work(e.Costs.Transition) }
-
-// OCall charges one enclave exit + re-entry round trip to t.
-func (e *Enclave) OCall(t *engine.Thread) { t.Work(2 * e.Costs.Transition) }
-
-// Policy returns the enclave's allocation policy.
-func (e *Enclave) Policy() AllocPolicy { return e.policy }
 
 // QueueModel describes the timing behaviour of a shared task queue's
 // synchronization, used by the deterministic contention replay (Fig 11).

@@ -130,8 +130,6 @@ type Options struct {
 	// Threads is the number of worker threads (Run only; RunOn uses the
 	// group's).
 	Threads int
-	// NodeOf pins thread i to a socket (Run only).
-	NodeOf func(i int) int
 	// MaxKey bounds the key domain: merge splitters are computed
 	// arithmetically over [0, MaxKey), which keeps them balanced for
 	// uniform keys (correctness holds for any distribution). Zero derives
@@ -174,12 +172,12 @@ type Result struct {
 
 // Run sorts in[:n] under env on a fresh thread group.
 func Run(env *core.Env, in *mem.U64Buf, n int, opt Options) *Result {
-	return RunOn(env, env.NewGroup(opt.threads(), opt.NodeOf), in, n, opt)
+	return RunOn(env, env.NewGroup(opt.threads()), in, n, opt)
 }
 
 // RunOn sorts in[:n] on an existing thread group (pipeline stage
 // composition: simulated cache/TLB state carries over from the upstream
-// operator; Options.Threads and NodeOf are ignored). in is consumed as
+// operator; Options.Threads is ignored). in is consumed as
 // the per-thread chunk work area — after the run it holds the sorted
 // per-thread chunks — and the globally sorted rows land in Out at
 // deterministic offsets. Result timing and stats cover only this stage.

@@ -21,8 +21,6 @@ type TopKOptions struct {
 	// Threads is the number of worker threads (TopK only; TopKOn uses the
 	// group's).
 	Threads int
-	// NodeOf pins thread i to a socket (TopK only).
-	NodeOf func(i int) int
 	// RunLen overrides the in-cache run length of the final candidate
 	// sort (0: RunLen(env)).
 	RunLen int
@@ -57,7 +55,7 @@ type TopKResult struct {
 
 // TopK selects the k smallest rows of in[:n] under env on a fresh group.
 func TopK(env *core.Env, in *mem.U64Buf, n, k int, opt TopKOptions) *TopKResult {
-	return TopKOn(env, env.NewGroup(opt.threads(), opt.NodeOf), in, n, k, opt)
+	return TopKOn(env, env.NewGroup(opt.threads()), in, n, k, opt)
 }
 
 // topkBlock is the number of rows loaded per bulk engine call in the
