@@ -127,9 +127,14 @@ const (
 	probeMB = 400
 )
 
-// checkScale validates -scale for the given mode: a positive power of
-// two that leaves every generated relation at least one row.
-func checkScale(mode runMode, scale int64) error {
+// checkScale validates the flags that scale a run in the given mode:
+// -scale must be a positive power of two that leaves every generated
+// relation at least one row, and the -ratio EPC oversubscription must
+// not be negative (0 means unlimited).
+func checkScale(mode runMode, scale, ratio int64) error {
+	if ratio < 0 {
+		return fmt.Errorf("-ratio %d must be >= 0 (0 = unlimited EPC)", ratio)
+	}
 	if scale <= 0 || scale&(scale-1) != 0 {
 		return fmt.Errorf("-scale %d must be a positive power of two", scale)
 	}
@@ -183,7 +188,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := checkScale(mode, *scale); err != nil {
+	if err := checkScale(mode, *scale, *epcRatio); err != nil {
 		fmt.Fprintf(os.Stderr, "diag: %v\n", err)
 		flag.Usage()
 		os.Exit(2)

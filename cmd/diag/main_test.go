@@ -68,37 +68,40 @@ func TestParseSetting(t *testing.T) {
 	}
 }
 
-// TestCheckScale pins the -scale gate: non-powers of two are rejected in
-// every mode, and a scale that would leave a generated relation with no
-// rows is rejected up front (main exits 2) instead of panicking in
-// rel.Alloc. The join and -epc modes scale a 100 MB build side (at most
-// 2^23), -query a 400 MB fact table (at most 2^25); the serving modes
-// generate no scaled relation.
+// TestCheckScale pins the -scale/-ratio gate: non-powers of two are
+// rejected in every mode, and a scale that would leave a generated
+// relation with no rows is rejected up front (main exits 2) instead of
+// panicking in rel.Alloc. The join and -epc modes scale a 100 MB build
+// side (at most 2^23), -query a 400 MB fact table (at most 2^25); the
+// serving modes generate no scaled relation. A negative -ratio is
+// rejected rather than run as an unlimited EPC.
 func TestCheckScale(t *testing.T) {
 	cases := []struct {
-		mode  runMode
-		scale int64
-		ok    bool
+		mode         runMode
+		scale, ratio int64
+		ok           bool
 	}{
-		{modeJoin, 0, false},
-		{modeJoin, -4, false},
-		{modeJoin, 3, false},
-		{modeServe, 96, false},
-		{modeJoin, 1, true},
-		{modeJoin, 512, true},
-		{modeJoin, 1 << 23, true},
-		{modeJoin, 1 << 24, false},
-		{modeEPC, 1 << 23, true},
-		{modeEPC, 1 << 24, false},
-		{modeQuery, 1 << 25, true},
-		{modeQuery, 1 << 26, false},
-		{modeServe, 1 << 40, true},
-		{modeFault, 1 << 62, true},
+		{modeJoin, 0, 2, false},
+		{modeJoin, -4, 2, false},
+		{modeJoin, 3, 2, false},
+		{modeServe, 96, 2, false},
+		{modeJoin, 1, 2, true},
+		{modeJoin, 512, 2, true},
+		{modeJoin, 1 << 23, 2, true},
+		{modeJoin, 1 << 24, 2, false},
+		{modeEPC, 1 << 23, 2, true},
+		{modeEPC, 1 << 24, 2, false},
+		{modeQuery, 1 << 25, 2, true},
+		{modeQuery, 1 << 26, 2, false},
+		{modeServe, 1 << 40, 2, true},
+		{modeFault, 1 << 62, 2, true},
+		{modeEPC, 512, 0, true},
+		{modeEPC, 512, -2, false},
 	}
 	for _, c := range cases {
-		err := checkScale(c.mode, c.scale)
+		err := checkScale(c.mode, c.scale, c.ratio)
 		if (err == nil) != c.ok {
-			t.Errorf("checkScale(mode %d, %d) = %v, want ok=%v", c.mode, c.scale, err, c.ok)
+			t.Errorf("checkScale(mode %d, scale %d, ratio %d) = %v, want ok=%v", c.mode, c.scale, c.ratio, err, c.ok)
 		}
 	}
 }

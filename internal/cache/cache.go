@@ -72,12 +72,11 @@ func lineShift(lineBytes int64) uint {
 // a partial shift to move to the front.
 type Cache struct {
 	mask     uint64 // sets-1 (sets is a power of two)
-	ways     int
 	stride   uint64 // words per set block in data: 16 filter words + ways
 	lineBits uint
 	setShift uint // log2(sets): line >> setShift is the tag
 	// data interleaves each set's membership filter (16 words = 128
-	// one-byte counters keyed by the low tag bits, see filtKey) with its
+	// one-byte counters keyed by the low tag bits, see filtMask) with its
 	// packed entries (circular recency order), so one probe touches one
 	// contiguous block. The filter counts how many resident ways share a
 	// key: a zero counter proves a miss without scanning the set — the
@@ -95,7 +94,6 @@ func New(g platform.CacheGeom) *Cache {
 	stride := uint64(filtWords + g.Ways)
 	return &Cache{
 		mask:     sets - 1,
-		ways:     g.Ways,
 		stride:   stride,
 		lineBits: lineShift(g.LineBytes),
 		setShift: uint(bits.Len64(sets - 1)),
@@ -110,31 +108,22 @@ func New(g platform.CacheGeom) *Cache {
 // cost; the counters are exact, so hit/miss decisions are unchanged.
 const filtWords = 16
 
-// filtMask selects the filter key from a line's tag bits.
+// filtMask selects the filter key from a line's tag bits (the line with
+// the set index shifted out): resident lines of one set always differ in
+// their tags, and for streaming workloads recent residents have
+// consecutive tags, so keys rarely collide and most misses are proven
+// without a scan. Key k is byte k&7 of filter word k>>3.
 const filtMask = 8*filtWords - 1
-
-// filtKey returns (word index, bit shift) of line's filter counter within
-// set s. The key is taken from the tag bits (line with the set index
-// shifted out): resident lines of one set always differ in their tags, and
-// for streaming workloads recent residents have consecutive tags, so keys
-// rarely collide and most misses are proven without a scan.
-func (c *Cache) filtKey(s, line uint64) (uint64, uint) {
-	k := (line >> c.setShift) & filtMask
-	return s*c.stride + k>>3, uint(k&7) << 3
-}
 
 // LineOf maps an address to its line number.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineBits }
 
-// LineBytes returns the line size in bytes.
-func (c *Cache) LineBytes() int64 { return 1 << c.lineBits }
-
-// AccessOrFill merges Access and Fill into a single pass over the set: on
-// a hit the line moves to the front (and is dirtied on writes); on a miss
-// the line is inserted immediately, evicting the LRU way — the head
-// rotates back one slot onto the old LRU entry, so a miss insert is O(1)
-// and the set is never rescanned. The eviction report applies only to the
-// miss case.
+// AccessOrFill probes for line and fills it on a miss, in a single pass
+// over the set (RefCache needs an Access and then a Fill): on a hit the
+// line moves to the front (and is dirtied on writes); on a miss the line
+// is inserted immediately, evicting the LRU way — the head rotates back
+// one slot onto the old LRU entry, so a miss insert is O(1) and the set
+// is never rescanned. The eviction report applies only to the miss case.
 func (c *Cache) AccessOrFill(line uint64, write bool) (hit bool, evicted uint64, evictedDirty, evictedOK bool) {
 	s := line & c.mask
 	fbase := s * c.stride
@@ -283,68 +272,6 @@ func (c *Cache) scanOrFill(blk []uint64, h int, line uint64, write bool) (hit bo
 	return false, evicted, evictedDirty, evictedOK
 }
 
-// scanHit scans the set s for line in recency order; on a hit the entry
-// moves to the front (dirtied on writes). Recency order is two linear
-// segments of the circular set: [h, ways) then [0, h).
-func (c *Cache) scanHit(s, line uint64, write bool) bool {
-	base := s*c.stride + filtWords
-	set := c.data[base : base+uint64(c.ways)]
-	h := int(c.head[s])
-	want := (line+1)<<1 | 1
-	for i := h; i < len(set); i++ {
-		if set[i]|1 == want {
-			e := set[i]
-			if write {
-				e |= 1
-			}
-			copy(set[h+1:i+1], set[h:i])
-			set[h] = e
-			return true
-		}
-	}
-	for i := 0; i < h; i++ {
-		if set[i]|1 == want {
-			e := set[i]
-			if write {
-				e |= 1
-			}
-			copy(set[1:i+1], set[:i])
-			set[0] = set[len(set)-1]
-			copy(set[h+1:], set[h:len(set)-1])
-			set[h] = e
-			return true
-		}
-	}
-	return false
-}
-
-// fillMiss inserts line at the front of set s (after a miss), evicting
-// the LRU way in O(1): the head rotates back one slot onto the old LRU
-// entry. fw/fs locate line's filter counter.
-func (c *Cache) fillMiss(s, line uint64, write bool, fw uint64, fs uint) (evicted uint64, evictedDirty, ok bool) {
-	base := s*c.stride + filtWords
-	set := c.data[base : base+uint64(c.ways)]
-	lru := int(c.head[s]) - 1
-	if lru < 0 {
-		lru = len(set) - 1
-	}
-	if old := set[lru]; old != 0 {
-		evicted = old>>1 - 1
-		evictedDirty = old&1 != 0
-		ok = true
-		ew, es := c.filtKey(s, evicted)
-		c.data[ew] -= 1 << es
-	}
-	e := (line + 1) << 1
-	if write {
-		e |= 1
-	}
-	set[lru] = e
-	c.head[s] = uint16(lru)
-	c.data[fw] += 1 << fs
-	return evicted, evictedDirty, ok
-}
-
 // DirtyMRU marks line dirty in place. The caller guarantees that line is
 // the MRU entry of its set — e.g. it was the thread's immediately
 // preceding access — so the update is a single word OR with no scan and
@@ -353,36 +280,6 @@ func (c *Cache) fillMiss(s, line uint64, write bool, fw uint64, fs uint) (evicte
 func (c *Cache) DirtyMRU(line uint64) {
 	s := line & c.mask
 	c.data[s*c.stride+filtWords+uint64(c.head[s])] |= 1
-}
-
-// Access probes the cache for line. On a hit it refreshes LRU state
-// (move-to-front) and, for writes, marks the line dirty.
-func (c *Cache) Access(line uint64, write bool) bool {
-	s := line & c.mask
-	fw, fs := c.filtKey(s, line)
-	if c.data[fw]>>fs&0xff == 0 {
-		return false
-	}
-	return c.scanHit(s, line, write)
-}
-
-// Fill inserts line (after a miss), evicting the LRU way of its set.
-// It reports the evicted line and whether it was dirty; ok is false when
-// an invalid way was used and nothing was evicted.
-func (c *Cache) Fill(line uint64, write bool) (evicted uint64, evictedDirty, ok bool) {
-	s := line & c.mask
-	fw, fs := c.filtKey(s, line)
-	return c.fillMiss(s, line, write, fw, fs)
-}
-
-// Reset invalidates all lines.
-func (c *Cache) Reset() {
-	for i := range c.data {
-		c.data[i] = 0
-	}
-	for i := range c.head {
-		c.head[i] = 0
-	}
 }
 
 // TLB is a set-associative translation lookaside buffer over 4 KiB pages
@@ -474,19 +371,6 @@ func (t *TLB) scanHit(set []uint64, h int, tag uint64) bool {
 	return false
 }
 
-// Reset invalidates all entries.
-func (t *TLB) Reset() {
-	for i := range t.ents {
-		t.ents[i] = 0
-	}
-	for i := range t.head {
-		t.head[i] = 0
-	}
-	for i := range t.filt {
-		t.filt[i] = 0
-	}
-}
-
 // RefCache is the original timestamp-LRU cache level, kept as the
 // reference implementation for the engine's per-op path (golden tests and
 // cmd/bench baselines). Its replacement decisions are identical to Cache.
@@ -516,9 +400,6 @@ func NewRef(g platform.CacheGeom) *RefCache {
 
 // LineOf maps an address to its line number.
 func (c *RefCache) LineOf(addr uint64) uint64 { return addr >> c.lineBits }
-
-// LineBytes returns the line size in bytes.
-func (c *RefCache) LineBytes() int64 { return 1 << c.lineBits }
 
 // Access probes the cache for line. On a hit it refreshes LRU state and,
 // for writes, marks the line dirty.
@@ -569,16 +450,6 @@ func (c *RefCache) Fill(line uint64, write bool) (evicted uint64, evictedDirty, 
 	return evicted, evictedDirty, ok
 }
 
-// Reset invalidates all lines.
-func (c *RefCache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamp[i] = 0
-		c.dirty[i] = false
-	}
-	c.tick = 0
-}
-
 // RefTLB is the original timestamp-LRU TLB, the reference counterpart of
 // TLB.
 type RefTLB struct {
@@ -625,13 +496,4 @@ func (t *RefTLB) Access(page uint64) bool {
 	t.tags[victim] = tag
 	t.stamp[victim] = t.tick
 	return false
-}
-
-// Reset invalidates all entries.
-func (t *RefTLB) Reset() {
-	for i := range t.tags {
-		t.tags[i] = 0
-		t.stamp[i] = 0
-	}
-	t.tick = 0
 }

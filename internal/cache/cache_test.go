@@ -14,55 +14,79 @@ var oneSet = platform.CacheGeom{SizeBytes: 4 * 64, Ways: 4, LineBytes: 64}
 // lines that all map to set 0 of a single-set cache are just consecutive
 // integers; for multi-set geometries use line*sets to stay in one set.
 
+// probeFunc probes for line and fills it on a miss, reporting whether the
+// probe hit and, for a miss, the line it evicted.
+type probeFunc func(line uint64, write bool) (hit bool, evicted uint64, evictedDirty, evictedOK bool)
+
+// refProbe drives a reference cache the way the engine's per-op path
+// does: Access, then Fill on a miss.
+func refProbe(c *RefCache) probeFunc {
+	return func(line uint64, write bool) (bool, uint64, bool, bool) {
+		if c.Access(line, write) {
+			return true, 0, false, false
+		}
+		ev, dirty, ok := c.Fill(line, write)
+		return false, ev, dirty, ok
+	}
+}
+
+// namedProbe is one probe path under test.
+type namedProbe struct {
+	name  string
+	probe probeFunc
+}
+
+// impls returns fresh caches of geometry g behind both probe paths: the
+// fast cache's fused AccessOrFill and the reference Access+Fill.
+func impls(g platform.CacheGeom) []namedProbe {
+	return []namedProbe{
+		{"fast", New(g).AccessOrFill},
+		{"ref", refProbe(NewRef(g))},
+	}
+}
+
 // TestLRUEvictionOrder fills a set past capacity and checks that the
 // least recently used line is evicted, for both implementations.
 func TestLRUEvictionOrder(t *testing.T) {
-	type cacheIface interface {
-		Access(line uint64, write bool) bool
-		Fill(line uint64, write bool) (uint64, bool, bool)
-	}
-	for _, tc := range []struct {
-		name string
-		c    cacheIface
-	}{
-		{"fast", New(oneSet)},
-		{"ref", NewRef(oneSet)},
-	} {
-		c := tc.c
+	for _, tc := range impls(oneSet) {
+		probe := tc.probe
 		// Fill ways with lines 1..4. No evictions while invalid ways last.
 		for l := uint64(1); l <= 4; l++ {
-			if c.Access(l, false) {
+			hit, _, _, ok := probe(l, false)
+			if hit {
 				t.Fatalf("%s: cold access to line %d hit", tc.name, l)
 			}
-			if _, _, ok := c.Fill(l, false); ok {
+			if ok {
 				t.Fatalf("%s: filling invalid way evicted something (line %d)", tc.name, l)
 			}
 		}
 		// Touch line 1: it becomes MRU; LRU is now line 2.
-		if !c.Access(1, false) {
+		if hit, _, _, _ := probe(1, false); !hit {
 			t.Fatalf("%s: line 1 should be resident", tc.name)
 		}
 		// Insert line 5: must evict line 2 (true LRU).
-		if c.Access(5, false) {
+		hit, ev, _, ok := probe(5, false)
+		if hit {
 			t.Fatalf("%s: line 5 unexpectedly hit", tc.name)
 		}
-		ev, _, ok := c.Fill(5, false)
 		if !ok || ev != 2 {
 			t.Errorf("%s: expected eviction of line 2, got ok=%v line=%d", tc.name, ok, ev)
 		}
 		// Insert line 6: must evict line 3.
-		c.Access(6, false)
-		if ev, _, _ := c.Fill(6, false); ev != 3 {
+		if _, ev, _, _ := probe(6, false); ev != 3 {
 			t.Errorf("%s: expected eviction of line 3, got %d", tc.name, ev)
 		}
-		// 1, 4, 5, 6 resident; 2, 3 gone.
+		// 1, 4, 5, 6 resident (touched in that order, so 1 is now LRU).
 		for _, want := range []uint64{1, 4, 5, 6} {
-			if !c.Access(want, false) {
+			if hit, _, _, _ := probe(want, false); !hit {
 				t.Errorf("%s: line %d should be resident", tc.name, want)
 			}
 		}
-		if c.Access(2, false) || c.Access(3, false) {
-			t.Errorf("%s: evicted lines still resident", tc.name)
+		// 2 and 3 are gone: probing them misses and evicts 1, then 4.
+		for _, c := range []struct{ line, ev uint64 }{{2, 1}, {3, 4}} {
+			if hit, ev, _, _ := probe(c.line, false); hit || ev != c.ev {
+				t.Errorf("%s: line %d: hit=%v evicted %d, want a miss evicting %d", tc.name, c.line, hit, ev, c.ev)
+			}
 		}
 	}
 }
@@ -70,36 +94,27 @@ func TestLRUEvictionOrder(t *testing.T) {
 // TestDirtyWriteback checks that dirty lines report their state when
 // evicted and clean lines do not, for both implementations.
 func TestDirtyWriteback(t *testing.T) {
-	for _, impl := range []string{"fast", "ref"} {
-		var access func(uint64, bool) bool
-		var fill func(uint64, bool) (uint64, bool, bool)
-		if impl == "fast" {
-			c := New(oneSet)
-			access, fill = c.Access, c.Fill
-		} else {
-			c := NewRef(oneSet)
-			access, fill = c.Access, c.Fill
-		}
-		fill(1, true)  // written on fill
-		fill(2, false) // clean
-		access(3, false)
-		fill(3, false)
-		access(3, true) // dirtied by a write hit
-		fill(4, false)
+	for _, tc := range impls(oneSet) {
+		probe := tc.probe
+		probe(1, true)  // written on fill
+		probe(2, false) // clean
+		probe(3, false)
+		probe(3, true) // dirtied by a write hit
+		probe(4, false)
 		// Evict line 1 (LRU): was written on fill -> dirty.
-		ev, dirty, ok := fill(5, false)
+		_, ev, dirty, ok := probe(5, false)
 		if !ok || ev != 1 || !dirty {
-			t.Errorf("%s: want dirty eviction of line 1, got line=%d dirty=%v ok=%v", impl, ev, dirty, ok)
+			t.Errorf("%s: want dirty eviction of line 1, got line=%d dirty=%v ok=%v", tc.name, ev, dirty, ok)
 		}
 		// Evict line 2: never written -> clean.
-		ev, dirty, _ = fill(6, false)
+		_, ev, dirty, _ = probe(6, false)
 		if ev != 2 || dirty {
-			t.Errorf("%s: want clean eviction of line 2, got line=%d dirty=%v", impl, ev, dirty)
+			t.Errorf("%s: want clean eviction of line 2, got line=%d dirty=%v", tc.name, ev, dirty)
 		}
 		// Evict line 3: dirtied by the write hit.
-		ev, dirty, _ = fill(7, false)
+		_, ev, dirty, _ = probe(7, false)
 		if ev != 3 || !dirty {
-			t.Errorf("%s: want dirty eviction of line 3, got line=%d dirty=%v", impl, ev, dirty)
+			t.Errorf("%s: want dirty eviction of line 3, got line=%d dirty=%v", tc.name, ev, dirty)
 		}
 	}
 }
@@ -143,54 +158,51 @@ func TestTLBSetIndexing(t *testing.T) {
 	}
 }
 
-// TestCacheImplEquivalence drives both cache implementations with an
-// identical randomized trace of mixed reads and writes over a small
-// geometry (so sets overflow constantly) and asserts that every probe
-// and every eviction decision agrees.
-func TestCacheImplEquivalence(t *testing.T) {
-	geom := platform.CacheGeom{SizeBytes: 8 * 64 * 4, Ways: 4, LineBytes: 64} // 8 sets x 4 ways
-	fast := New(geom)
-	ref := NewRef(geom)
-	r := rng.NewXorShift(7)
-	for i := 0; i < 200000; i++ {
-		line := r.Next() % 128 // 16 lines per set: constant overflow
-		write := r.Next()%4 == 0
-		fh := fast.Access(line, write)
-		rh := ref.Access(line, write)
-		if fh != rh {
-			t.Fatalf("op %d: access(%d) fast=%v ref=%v", i, line, fh, rh)
-		}
-		if !fh {
-			fe, fd, fok := fast.Fill(line, write)
-			re, rd, rok := ref.Fill(line, write)
-			if fok != rok || (fok && (fe != re || fd != rd)) {
-				t.Fatalf("op %d: fill(%d) fast=(%d,%v,%v) ref=(%d,%v,%v)", i, line, fe, fd, fok, re, rd, rok)
-			}
-		}
-	}
-}
-
-// TestCacheFusedEquivalence drives AccessOrFill against a RefCache using
-// separate Access+Fill on the same trace.
+// TestCacheFusedEquivalence drives every production probe path of the
+// fast cache against a RefCache using Access+Fill on one randomized trace
+// of mixed reads and writes over a small geometry (so sets overflow
+// constantly), and asserts that every probe and every eviction decision
+// agrees: AccessOrFill, AccessOrFillStream, and AccessOrFill with an
+// immediate repeat of the line taken by DirtyMRU (the engine's same-line
+// memo) instead of a probe.
 func TestCacheFusedEquivalence(t *testing.T) {
 	geom := platform.CacheGeom{SizeBytes: 4 * 64 * 8, Ways: 8, LineBytes: 64} // 4 sets x 8 ways
-	fast := New(geom)
-	ref := NewRef(geom)
+	memo := New(geom)
+	prev := ^uint64(0)
+	paths := []namedProbe{
+		{"AccessOrFill", New(geom).AccessOrFill},
+		{"AccessOrFillStream", New(geom).AccessOrFillStream},
+		{"DirtyMRU", func(line uint64, write bool) (bool, uint64, bool, bool) {
+			if line != prev {
+				return memo.AccessOrFill(line, write)
+			}
+			// The line was this cache's previous access, so it is the MRU
+			// entry of its set: a repeat read changes nothing.
+			if write {
+				memo.DirtyMRU(line)
+			}
+			return true, 0, false, false
+		}},
+	}
+	ref := refProbe(NewRef(geom))
 	r := rng.NewXorShift(11)
 	for i := 0; i < 200000; i++ {
-		line := r.Next() % 96
+		// Lines 512 apart share a set and a filter key (their tags differ
+		// by 128), so the filter's false positives — a scan that misses —
+		// are exercised too.
+		line := r.Next()%96 + r.Next()%2*512
 		write := r.Next()%3 == 0
-		fh, fe, fd, fok := fast.AccessOrFill(line, write)
-		rh := ref.Access(line, write)
-		if fh != rh {
-			t.Fatalf("op %d: line %d fast hit=%v ref hit=%v", i, line, fh, rh)
-		}
-		if !rh {
-			re, rd, rok := ref.Fill(line, write)
-			if fok != rok || (fok && (fe != re || fd != rd)) {
-				t.Fatalf("op %d: line %d eviction fast=(%d,%v,%v) ref=(%d,%v,%v)", i, line, fe, fd, fok, re, rd, rok)
+		rh, re, rd, rok := ref(line, write)
+		for _, p := range paths {
+			h, e, d, ok := p.probe(line, write)
+			if h != rh {
+				t.Fatalf("op %d: line %d %s hit=%v ref hit=%v", i, line, p.name, h, rh)
+			}
+			if !h && (ok != rok || (ok && (e != re || d != rd))) {
+				t.Fatalf("op %d: line %d %s eviction=(%d,%v,%v) ref=(%d,%v,%v)", i, line, p.name, e, d, ok, re, rd, rok)
 			}
 		}
+		prev = line
 	}
 }
 
@@ -202,7 +214,7 @@ func TestTLBImplEquivalence(t *testing.T) {
 	ref := NewRefTLB(geom)
 	r := rng.NewXorShift(13)
 	for i := 0; i < 200000; i++ {
-		page := r.Next() % 64
+		page := r.Next()%64 + r.Next()%2*512 // +512: same set and filter key
 		fh := fast.Access(page)
 		rh := ref.Access(page)
 		if fh != rh {

@@ -387,34 +387,3 @@ func (t *Thread) streamAt(page uint64) *stream {
 	}
 	return nil
 }
-
-// ResetMemoryState clears caches, TLBs and the prefetcher table (cold
-// start). Counters and the clock are preserved.
-func (t *Thread) ResetMemoryState() {
-	if t.ref {
-		t.rl1.Reset()
-		t.rl2.Reset()
-		t.rl3.Reset()
-		t.rdtlb.Reset()
-		t.rstlb.Reset()
-	} else {
-		t.l1.Reset()
-		t.l2.Reset()
-		t.l3.Reset()
-		t.dtlb.Reset()
-		t.stlb.Reset()
-	}
-	t.streams = [2 * nStreams]stream{}
-	t.mruWay = [nStreams]uint8{}
-	t.pwc = [pwcEntries]uint64{}
-	t.lastPage = noPage
-	t.mruLine = noPage
-	for i := range t.mlp {
-		t.mlp[i] = 0
-	}
-	for i := range t.sbuf {
-		t.sbuf[i] = 0
-	}
-	t.storeBarrier = 0
-	t.resetEPCState()
-}

@@ -409,9 +409,6 @@ func NewThread(cfg Config, id int) *Thread {
 	return t
 }
 
-// Reference reports whether the thread runs the per-op reference path.
-func (t *Thread) Reference() bool { return t.ref }
-
 // Cycle returns the thread's current cycle (issue clock; completions may
 // be outstanding — call Drain for a quiescent timestamp).
 func (t *Thread) Cycle() uint64 { return t.cycle }
@@ -429,9 +426,6 @@ func (t *Thread) Stats() Stats {
 	s.Cycles = t.cycle
 	return s
 }
-
-// ResetStats clears counters but keeps cache/TLB contents and the clock.
-func (t *Thread) ResetStats() { t.st = Stats{} }
 
 // issueWidth is the superscalar issue width: up to four micro-ops retire
 // per cycle, so back-to-back independent memory operations cost 1/4 cycle
@@ -598,9 +592,6 @@ func (t *Thread) CAS(b *mem.Buffer, off int64, dep Tok) Tok {
 	t.Store(b, off, 8, dep, done)
 	return done
 }
-
-// Fence waits for all outstanding loads and stores to complete.
-func (t *Thread) Fence() { t.Drain() }
 
 // Drain advances the clock past every outstanding miss and store, and
 // past the store-address barrier; it returns the quiesced cycle.

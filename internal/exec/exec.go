@@ -61,9 +61,6 @@ func (g *Group) Clock() uint64 { return g.clock }
 // anyway — attaching one changes no clock, stat or phase outcome.
 func (g *Group) AttachProfiler(p *obs.Profiler) { g.prof = p }
 
-// Profiler returns the attached profiler (nil when none).
-func (g *Group) Profiler() *obs.Profiler { return g.prof }
-
 // Scope opens a named profile scope around a pipeline stage and returns
 // the closer that attributes the stage's clock advance to it. With no
 // profiler attached both halves are no-ops, so operators can scope
@@ -185,12 +182,6 @@ func (g *Group) Since(m Mark) ([]PhaseStats, engine.Stats, uint64) {
 	d := g.clock - m.clock
 	s.Cycles = d
 	return ps, s, d
-}
-
-// ResetPhases clears the recorded phase log and rebases the clock to 0.
-func (g *Group) ResetPhases() {
-	g.phases = nil
-	g.clock = 0
 }
 
 // TotalStats sums the aggregate stats over all recorded phases.

@@ -1,6 +1,6 @@
 // Package kernels implements the low-level loops whose micro-architectural
 // behaviour the paper analyzes: radix histograms (Listing 1), partition
-// scatter/copy, prefix sums, and the random-access micro-benchmark.
+// scatter/copy, and the random-access micro-benchmark.
 //
 // Every kernel exists in the paper's two forms: the straightforward scalar
 // loop, and the unroll + reorder optimization that groups address-producing

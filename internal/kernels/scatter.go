@@ -190,18 +190,3 @@ func scatterWC(t *engine.Thread, data *mem.U64Buf, lo, hi int, out *mem.U64Buf, 
 		}
 	}
 }
-
-// PrefixSum turns counts hist[base:base+n] into exclusive prefix sums
-// offset by start, returning the total. A linear dependent loop; cheap
-// in every mode.
-func PrefixSum(t *engine.Thread, hist *mem.U32Buf, base, n int, start uint32) uint32 {
-	sum := start
-	var dep engine.Tok
-	for i := 0; i < n; i++ {
-		v, tok := engine.LoadU32(t, hist, base+i, dep)
-		engine.StoreU32(t, hist, base+i, sum, 0, engine.After(tok, 1))
-		sum += v
-		dep = engine.After(tok, 1)
-	}
-	return sum
-}

@@ -47,9 +47,6 @@ type Buffer struct {
 	Name string
 }
 
-// End returns the first address past the buffer.
-func (b *Buffer) End() uint64 { return b.Base + uint64(b.Size) }
-
 // Contains reports whether the buffer covers [off, off+n).
 func (b *Buffer) Contains(off, n int64) bool {
 	return off >= 0 && n >= 0 && off+n <= b.Size

@@ -128,18 +128,3 @@ func (h *Histogram) Percentile(p int) uint64 {
 	}
 	return h.max
 }
-
-// Merge accumulates o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if o.n > 0 && (h.n == 0 || o.min < h.min) {
-		h.min = o.min
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}

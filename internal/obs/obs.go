@@ -43,9 +43,7 @@ type Span struct {
 	Args []Attr
 }
 
-// TraceStats counts a Tracer's traffic. The Add/Sub completeness
-// discipline mirrors serve.Breakdown: TestTraceStatsAddCoversAllFields
-// fails if a newly added counter is omitted.
+// TraceStats counts a Tracer's traffic.
 type TraceStats struct {
 	// Spans and Instants count recorded events by phase kind.
 	Spans    uint64 `json:"spans"`
@@ -53,22 +51,6 @@ type TraceStats struct {
 	// Dropped counts records evicted from the ring buffer to make room
 	// for newer ones — the explicit truncation signal.
 	Dropped uint64 `json:"dropped"`
-}
-
-// Add accumulates o into s, field-wise.
-func (s *TraceStats) Add(o TraceStats) {
-	s.Spans += o.Spans
-	s.Instants += o.Instants
-	s.Dropped += o.Dropped
-}
-
-// Sub returns the field-wise difference s - o, where o is an earlier
-// snapshot of the same accumulator.
-func (s TraceStats) Sub(o TraceStats) TraceStats {
-	s.Spans -= o.Spans
-	s.Instants -= o.Instants
-	s.Dropped -= o.Dropped
-	return s
 }
 
 // DefaultTraceCap is the ring capacity NewTracer uses for capacity < 1.

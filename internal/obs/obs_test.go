@@ -9,59 +9,6 @@ import (
 	"sgxbench/internal/obs"
 )
 
-// fillUints sets every field of a flat uint64 struct to base*(i+1) via
-// reflection, mirroring the serve.Breakdown completeness discipline: a
-// newly added field is exercised by construction, and a non-uint64
-// field fails loudly.
-func fillUints(t *testing.T, v reflect.Value, base uint64) {
-	t.Helper()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() != reflect.Uint64 {
-			t.Fatalf("field %s is %s, want uint64", v.Type().Field(i).Name, f.Kind())
-		}
-		f.SetUint(base * uint64(i+1))
-	}
-}
-
-// TestTraceStatsAddCoversAllFields: Add/Sub must touch every field.
-func TestTraceStatsAddCoversAllFields(t *testing.T) {
-	var a, b obs.TraceStats
-	fillUints(t, reflect.ValueOf(&a).Elem(), 5)
-	fillUints(t, reflect.ValueOf(&b).Elem(), 2)
-	diff := a.Sub(b)
-	dv := reflect.ValueOf(diff)
-	for i := 0; i < dv.NumField(); i++ {
-		if got, want := dv.Field(i).Uint(), 3*uint64(i+1); got != want {
-			t.Errorf("Sub field %s = %d, want %d", dv.Type().Field(i).Name, got, want)
-		}
-	}
-	sum := a
-	sum.Add(b)
-	if sum.Sub(b) != a {
-		t.Error("(a+b)-b != a: Add or Sub misses a field")
-	}
-}
-
-// TestGaugesAddCoversAllFields: same discipline for the gauge snapshot.
-func TestGaugesAddCoversAllFields(t *testing.T) {
-	var a, b obs.Gauges
-	fillUints(t, reflect.ValueOf(&a).Elem(), 5)
-	fillUints(t, reflect.ValueOf(&b).Elem(), 2)
-	diff := a.Sub(b)
-	dv := reflect.ValueOf(diff)
-	for i := 0; i < dv.NumField(); i++ {
-		if got, want := dv.Field(i).Uint(), 3*uint64(i+1); got != want {
-			t.Errorf("Sub field %s = %d, want %d", dv.Type().Field(i).Name, got, want)
-		}
-	}
-	sum := a
-	sum.Add(b)
-	if sum.Sub(b) != a {
-		t.Error("(a+b)-b != a: Add or Sub misses a field")
-	}
-}
-
 // TestGaugesJSONTags: every gauge needs a json tag — it names the
 // counter track in the trace export.
 func TestGaugesJSONTags(t *testing.T) {

@@ -7,63 +7,36 @@ import (
 	"sgxbench/internal/serve"
 )
 
-// fillBreakdown assigns base*k to the k-th numeric field, failing on any
-// field kind it does not know how to fill — extending the engine.Stats
-// completeness discipline to the serving counters (queue waits,
-// transitions, EDMM commits): a new Breakdown field that is not also
-// added to Add and Sub fails this file's tests.
-func fillBreakdown(t *testing.T, b *serve.Breakdown, base uint64) {
+// checkFoldCoversAllFields pins a golden-check fold's sensitivity: it
+// gives every field of T a distinct value, then checks that bumping any
+// single field changes the fold, so no counter can silently fall out of
+// the scenario check. T must be a flat struct of uint64 counters (Fold
+// mixes only uint64s); a field of any other kind fails the test.
+func checkFoldCoversAllFields[T any](t *testing.T, fold func(T, uint64) uint64) {
 	t.Helper()
-	v := reflect.ValueOf(b).Elem()
+	const seed = 0xcbf29ce484222325
+	var base T
+	v := reflect.ValueOf(&base).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		if f.Kind() != reflect.Uint64 {
-			t.Fatalf("Breakdown has a field of unsupported kind %v: teach fillBreakdown (and Add/Sub) about it", f.Kind())
+			t.Fatalf("%s.%s is %v: Fold only mixes uint64 counters", v.Type().Name(), v.Type().Field(i).Name, f.Kind())
 		}
-		f.SetUint(base * uint64(i+1))
+		f.SetUint(7 * uint64(i+1))
 	}
-}
-
-// TestBreakdownSubCoversAllFields fails when a newly added Breakdown
-// counter is omitted from Sub.
-func TestBreakdownSubCoversAllFields(t *testing.T) {
-	var a, b, want serve.Breakdown
-	fillBreakdown(t, &a, 5)
-	fillBreakdown(t, &b, 2)
-	fillBreakdown(t, &want, 3)
-	if got := a.Sub(b); got != want {
-		t.Errorf("Breakdown.Sub misses a field:\ngot:  %+v\nwant: %+v", got, want)
-	}
-}
-
-// TestBreakdownAddCoversAllFields fails when a newly added Breakdown
-// counter is omitted from Add: Add then Sub must round-trip.
-func TestBreakdownAddCoversAllFields(t *testing.T) {
-	var a, b serve.Breakdown
-	fillBreakdown(t, &a, 9)
-	fillBreakdown(t, &b, 4)
-	sum := a
-	sum.Add(b)
-	if got := sum.Sub(b); got != a {
-		t.Errorf("(a+b)-b != a:\ngot:  %+v\nwant: %+v", got, a)
-	}
-}
-
-// TestBreakdownFoldCoversAllFields pins the golden-check fold's
-// sensitivity: flipping any single Breakdown counter must change the
-// fold value, so no counter can silently fall out of the scenario
-// check.
-func TestBreakdownFoldCoversAllFields(t *testing.T) {
-	var base serve.Breakdown
-	fillBreakdown(t, &base, 7)
-	h0 := base.Fold(0xcbf29ce484222325)
-	v := reflect.ValueOf(&base).Elem()
+	h0 := fold(base, seed)
 	for i := 0; i < v.NumField(); i++ {
 		mutated := base
 		mv := reflect.ValueOf(&mutated).Elem().Field(i)
 		mv.SetUint(mv.Uint() + 1)
-		if mutated.Fold(0xcbf29ce484222325) == h0 {
-			t.Errorf("Fold insensitive to field %s", v.Type().Field(i).Name)
+		if fold(mutated, seed) == h0 {
+			t.Errorf("%s.Fold insensitive to field %s", v.Type().Name(), v.Type().Field(i).Name)
 		}
 	}
+}
+
+// TestBreakdownFoldCoversAllFields: flipping any single Breakdown
+// counter must change the fold value.
+func TestBreakdownFoldCoversAllFields(t *testing.T) {
+	checkFoldCoversAllFields(t, serve.Breakdown.Fold)
 }

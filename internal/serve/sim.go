@@ -373,12 +373,11 @@ func (s *sim) scheduleGen(t uint64, kind, who int, gen uint64) {
 }
 
 // lockPass runs one critical section of a shard's dispatch lock
-// starting at t and returns its completion time. The contention
-// semantics mirror exec.ReplayQueue: a thread that finds the lock taken
-// waits out the current hold plus the model's sleep latency, and a
-// contended handover extends the hold by the model's extension (the SGX
-// SDK mutex keeps the mutex locked across the owner's wake-up
-// transitions).
+// starting at t and returns its completion time. This is the Fig 11
+// contention model: a thread that finds the lock taken waits out the
+// current hold plus the model's sleep latency, and a contended handover
+// extends the hold by the model's extension (the SGX SDK mutex keeps the
+// mutex locked across the owner's wake-up transitions).
 func (s *sim) lockPass(sh *shard, t uint64) uint64 {
 	acquire := t
 	hold := s.q.PopCycles

@@ -77,7 +77,9 @@ func NewEPCDomain(capPages int64, c OSCosts) *engine.EPCDomain {
 }
 
 // QueueModel describes the timing behaviour of a shared task queue's
-// synchronization, used by the deterministic contention replay (Fig 11).
+// synchronization: serve's dispatch lock charges it on every critical
+// section, which is how the serving simulator reproduces Fig 11's
+// contention.
 type QueueModel struct {
 	Name string
 	// PopCycles is the uncontended critical-section length of one pop.
